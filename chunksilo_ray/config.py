@@ -52,16 +52,6 @@ DEFAULTS: dict[str, Any] = {
         "max_group": 256,  # cap pairs per LSH bucket (skew guard)
         "max_pairs": 2_000_000,  # driver union-find edge-list cap
     },
-    "assembly": {
-        # FINGERPRINT-FROZEN, behaviorally inert: the value feeds the
-        # assembled stage's lineage fingerprint (pipelines/kg.py), so
-        # deleting the key would spuriously invalidate every existing
-        # assembled checkpoint. The salted-groupby skew guard it tuned was
-        # replaced in round 2 by the global sort (range partitioning splits
-        # giant conversations by construction) and in round 3 by the
-        # lengths-only broadcast path; assemble_dialogues discards it.
-        "salt_threshold": 512,
-    },
     "incremental": {
         # persist out/state/ (conv-id manifest, distinct norms, build info)
         # during build so `append_kg` can fold new conversations in later;
@@ -74,15 +64,7 @@ DEFAULTS: dict[str, Any] = {
         "dead_letter_cap": 1_000_000,
     },
     "runtime": {
-        "batch_size": 4096,
-        "read_override_num_blocks": None,
         "target_max_block_size": None,  # bytes; None = Ray default (128 MiB)
-        # overlap independent stage executions on driver threads: measured
-        # SLOWER on a shared-everything single node (concurrent streaming
-        # executions contend for CPU slots + object store + memory bandwidth
-        # instead of pipelining — see pipelines/kg.py); opt-in for clusters
-        # with I/O-bound branches
-        "overlap": False,
     },
     "search": {
         # query-embedding backend — must mirror embedding.backend used at

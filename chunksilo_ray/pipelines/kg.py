@@ -3,13 +3,13 @@
 End-to-end composition (SURVEY.md §3.4 lifecycle):
 
     read_parquet(transcripts)
-      -> assemble_dialogues        SHUFFLE #1 (conv_id, salt)       [ckpt]
-      -> link_extract              actor pool + broadcast aliases   [ckpt]
-      -> explode triples/mentions  (two branches off one checkpoint)
-      -> build_canonical_map       SHUFFLE #2 (LSH bands) -> driver union-find
-      -> apply map + materialize   SHUFFLE #3 (groupby-aggregate)
-      -> write edges/ nodes/ Parquet
-    (side branch) assembled -> chunk -> embed -> chunks/ Parquet
+      -> assemble_dialogues    SHUFFLE #1 (lengths only, by conv_id)  [ckpt]
+      -> link_extract          tasks/actors + broadcast aliases       [ckpt]
+      -> build_canonical_map   SHUFFLE #2 (LSH bands) -> driver union-find,
+                               saved next to the checkpoints
+      -> materialize edges     shuffle-free, per turn                 [ckpt]
+      -> edges_agg / nodes     SHUFFLE #3 (groupby-aggregate)         [ckpt]
+    (side branch) assembled -> chunk -> embed                         [ckpt]
 
 Checkpoint boundaries sit right after the shuffles (SURVEY.md §7.4), so a
 resumed run skips the expensive exchanges. No ray.init() here — the driver
@@ -22,16 +22,21 @@ import json
 import pathlib
 from concurrent.futures import ThreadPoolExecutor
 
+import pyarrow as pa
 import pyarrow.parquet as pq
 import ray
 import ray.data as rd
 
 from ..config import Config
 from ..stages.assemble import assemble_dialogues
-from ..stages.canon import build_canonical_map
+from ..stages.canon import (
+    build_canonical_map,
+    load_canonical_map,
+    save_canonical_map,
+)
 from ..stages.chunk import chunk_turns
 from ..stages.embed import embed_chunks
-from ..stages.link import explode_mentions, link_extract
+from ..stages.link import link_extract
 from ..stages.materialize import (
     materialize_edges,
     materialize_edges_agg,
@@ -143,6 +148,45 @@ def scan_extracted_stats(
     return run
 
 
+def write_ingest_state(
+    out: pathlib.Path, tag: str, stats: ScanStats, norms: set | None
+) -> str | None:
+    """Persist what one extracted scan found, as part ``part-<tag>.parquet``
+    (``build`` or ``append-<fp8>``) of each table: the dead-letter rows under
+    out/dead_letter/ (the explicit-policy export of extractor-failed rows,
+    SURVEY.md §4 — only when there are any), and, when ``norms`` is given
+    (incremental tracking on), the scan's conv ids under out/state/conv_ids/
+    plus ``norms`` as out/state/distinct_norms.parquet. Returns the
+    dead-letter part's path, or None."""
+    dead_letter_path = None
+    if stats.dead_total:
+        (out / "dead_letter").mkdir(exist_ok=True)
+        dead_letter_path = str(out / "dead_letter" / f"part-{tag}.parquet")
+        rows = stats.dead_rows
+        pq.write_table(
+            pa.table(
+                {
+                    "conv_id": pa.array([r[0] for r in rows], pa.string()),
+                    "turn_idx": pa.array([r[1] for r in rows], pa.int64()),
+                    "error": pa.array([r[2] for r in rows], pa.string()),
+                }
+            ),
+            dead_letter_path,
+        )
+    if norms is not None:
+        state = out / "state"
+        (state / "conv_ids").mkdir(parents=True, exist_ok=True)
+        pq.write_table(
+            pa.table({"conv_id": pa.array(sorted(stats.convs), pa.string())}),
+            state / "conv_ids" / f"part-{tag}.parquet",
+        )
+        pq.write_table(
+            pa.table({"norm": pa.array(sorted(norms), pa.string())}),
+            state / "distinct_norms.parquet",
+        )
+    return dead_letter_path
+
+
 def build_kg(
     transcripts_path: str,
     alias_path: str,
@@ -186,19 +230,23 @@ def build_kg(
         input_fingerprint(transcripts_path), input_fingerprint(alias_path), code_fp
     )
 
+    # Stage executions run one after another on this thread: overlapping
+    # independent Dataset executions on driver threads, measured at sf0.3,
+    # lost to strict serialization (61 s vs 85 s at 16 CPUs) — concurrent
+    # streaming executions each assume they own the cluster, so they fight
+    # over CPU slots, object-store memory and memory bandwidth instead of
+    # pipelining. Two background threads remain, both measured wins: the
+    # checkpoint writer below, and the small extracted scan further down.
+    #
     # background checkpoint writer: disk-bound durable copies run OFF the
     # critical path; all futures are awaited before metrics/return
     writer = ThreadPoolExecutor(max_workers=2)
 
-    # ---- stage 1: assembly (shuffle #1) -------------------------------------
-    salt_threshold = cfg.get("assembly.salt_threshold")
-    asm_fp = fingerprint(in_fp, "assemble", salt_threshold)
+    # ---- stage 1: assembly (lengths-only exchange) --------------------------
+    asm_fp = fingerprint(in_fp, "assemble")
     asm_ckpt = StageCheckpoint(out_dir, "assembled", asm_fp)
     assembled = asm_ckpt.run(
-        lambda: assemble_dialogues(
-            rd.read_parquet(transcripts_path), salt_threshold=salt_threshold
-        ),
-        keep_in_memory=True,  # downstream consumers read pinned blocks
+        lambda: assemble_dialogues(rd.read_parquet(transcripts_path)),
         write_executor=writer,
     )
     _mark("assembled materialized")
@@ -208,76 +256,11 @@ def build_kg(
     link_cfg = cfg.section("linking")
     ext_fp = fingerprint(asm_fp, "extract", sorted(link_cfg.items()))
     ext_ckpt = StageCheckpoint(out_dir, "extracted", ext_fp)
-
-    def _build_extracted():
-        alias_ref = ray.put(alias_table)  # broadcast once
-        return link_extract(
-            assembled,
-            alias_ref,
-            max_ngram=link_cfg["max_ngram"],
-            batch_size=link_cfg["batch_size"],
-            concurrency=link_cfg["concurrency"],
-            num_cpus=link_cfg["num_cpus"],
-            per_row_seconds=link_cfg["per_row_seconds"],
-            mode=link_cfg.get("mode", "auto"),
-        )
-
-    # Overlapping independent Dataset executions on driver threads was the
-    # round-2 design; measured head-to-head at sf0.3 it LOSES to strict
-    # serialization (61 s vs 85 s at 16 CPUs): concurrent streaming
-    # executions each assume they own the cluster, so they fight over CPU
-    # slots, object-store memory and (on this DRAM-throttled host) memory
-    # bandwidth instead of pipelining. Serial execution also scales more
-    # honestly 4->16 CPUs — every stage gets the full cluster. The overlap
-    # path is kept behind runtime.overlap for clusters where the branches
-    # are I/O-heavy enough to interleave profitably.
-    overlap = bool(cfg.get("runtime.overlap"))
-
-    class _Inline:
-        """submit() that just runs the fn — the serial twin of the pool."""
-
-        @staticmethod
-        def submit(fn, *a, **kw):
-            from concurrent.futures import Future
-
-            f: Future = Future()
-            try:
-                f.set_result(fn(*a, **kw))
-            except BaseException as exc:  # noqa: BLE001 - future contract
-                f.set_exception(exc)
-            return f
-
-    chunks_ckpt = None
-    chunks_future = None
-    pool = ThreadPoolExecutor(max_workers=3) if overlap else None
-    if with_chunks:
-        chk_cfg = cfg.section("chunking")
-        emb_cfg = cfg.section("embedding")
-        chunks_fp = fingerprint(asm_fp, "chunks", sorted(chk_cfg.items()), sorted(emb_cfg.items()))
-        chunks_ckpt = StageCheckpoint(out_dir, "chunks", chunks_fp)
-
-        def _build_chunks():
-            return embed_chunks(
-                chunk_turns(
-                    assembled,
-                    chunk_size=chk_cfg["chunk_size"],
-                    chunk_overlap=chk_cfg["chunk_overlap"],
-                ),
-                backend=emb_cfg["backend"],
-                dim=emb_cfg["dim"],
-                batch_size=emb_cfg["batch_size"],
-                concurrency=emb_cfg["concurrency"],
-                num_cpus=emb_cfg["num_cpus"],
-                mode=emb_cfg.get("mode", "auto"),
-            )
-
-        if overlap:
-            chunks_future = pool.submit(chunks_ckpt.run, _build_chunks, write_executor=writer)
-        # serial mode: chunks BUILD runs right after extraction (below), so
-        # its background checkpoint write overlaps the canon/edges/nodes
-        # compute instead of stalling the final durability barrier
-
-    extracted = ext_ckpt.run(_build_extracted, keep_in_memory=True, write_executor=writer)
+    extracted = ext_ckpt.run(
+        # alias table broadcast once, only when the stage actually runs
+        lambda: link_extract(assembled, ray.put(alias_table), **link_cfg),
+        write_executor=writer,
+    )
     _mark("extracted materialized")
 
     # ONE combined scan over the pinned extracted blocks collects FOUR
@@ -294,67 +277,43 @@ def build_kg(
 
     # the scan is SMALL (one pass over pinned blocks + a tiny driver drain)
     # but a full streaming execution nonetheless — its executor startup and
-    # drain are pure serial time if run inline. Even in serial mode it runs
-    # on a background thread UNDER the chunks build (the one overlap that
-    # measured as a win: the big execution's scheduling slack absorbs the
-    # small one, unlike the round-2 big×big overlap that lost to DRAM
-    # contention). Its result is first needed at canon time below.
-    scan_pool = pool if overlap else ThreadPoolExecutor(max_workers=1)
+    # drain are pure serial time if run inline. It runs on a background
+    # thread UNDER the chunks build (the one overlap that measured as a win:
+    # the big execution's scheduling slack absorbs the small one, unlike the
+    # round-2 big×big overlap that lost to DRAM contention). Its result is
+    # first needed at canon time below.
+    scan_pool = ThreadPoolExecutor(max_workers=1)
     scan_future = scan_pool.submit(_scan_extracted)
 
-    if with_chunks and not overlap:
-        chunks_future = _Inline.submit(
-            chunks_ckpt.run, _build_chunks, write_executor=writer
+    # ---- side branch: chunk + embed ------------------------------------------
+    # built right after extraction, so its background checkpoint write
+    # overlaps the canon/edges/nodes compute instead of stalling the final
+    # durability barrier
+    chunks = chunks_ckpt = None
+    if with_chunks:
+        chk_cfg = cfg.section("chunking")
+        emb_cfg = cfg.section("embedding")
+        chunks_fp = fingerprint(asm_fp, "chunks", sorted(chk_cfg.items()), sorted(emb_cfg.items()))
+        chunks_ckpt = StageCheckpoint(out_dir, "chunks", chunks_fp)
+        chunks = chunks_ckpt.run(
+            lambda: embed_chunks(chunk_turns(assembled, **chk_cfg), **emb_cfg),
+            write_executor=writer,
         )
         _mark("chunks built")
 
-    # ---- stage 3: canonicalization (shuffle #2 + driver union-find) ---------
+    # ---- stage 3: canonicalization (LSH bands -> driver union-find) ---------
     canon_cfg = cfg.section("canon")
-    cmap_path = out / "canonical_map.json"
     cmap_fp = fingerprint(ext_fp, "canon", sorted(canon_cfg.items()))
-    cmap: dict[str, str]
-    if cmap_path.exists():
-        saved = json.loads(cmap_path.read_text())
-        if saved.get("fingerprint") == cmap_fp:
-            cmap = saved["map"]
-        else:
-            cmap = None  # type: ignore[assignment]
-    else:
-        cmap = None  # type: ignore[assignment]
-    cmap_rebuilt = cmap is None
+    cmap = load_canonical_map(out, cmap_fp)
     if cmap is None:
         distinct_norms = scan_future.result().norms
         _mark("extracted scan drained")
         cmap = build_canonical_map(
             extracted,  # nested extraction output, pinned blocks
-            num_perm=canon_cfg["num_perm"],
-            bands=canon_cfg["bands"],
-            shingle_k=canon_cfg["shingle_k"],
-            max_group=canon_cfg["max_group"],
-            max_pairs=canon_cfg["max_pairs"],
-            jaccard_threshold=canon_cfg["jaccard_threshold"],
-            cosine_threshold=canon_cfg["cosine_threshold"],
             norms=distinct_norms,  # collected by the combined scan above
+            **canon_cfg,
         )
-        cmap_path.write_text(json.dumps({"fingerprint": cmap_fp, "map": cmap}))
-    # flat (norm, canonical) side table: lets an EXTERNAL SQL engine recompute
-    # edges/nodes from the extracted checkpoint by joining the map (the
-    # driver's kg_* DuckDB oracles) — tiny, rewritten with the map
-    cmap_pq_path = out / "canonical_map.parquet"
-    if cmap_rebuilt or not cmap_pq_path.exists():
-        import pyarrow as _pa
-        import pyarrow.parquet as _pqw
-
-        norm_keys = sorted(cmap)
-        _pqw.write_table(
-            _pa.table(
-                {
-                    "norm": _pa.array(norm_keys, _pa.string()),
-                    "canonical": _pa.array([cmap[k] for k in norm_keys], _pa.string()),
-                }
-            ),
-            cmap_pq_path,
-        )
+        save_canonical_map(out, cmap, cmap_fp)
     _mark("canonical map built")
 
     # ---- stage 4: graph materialize -----------------------------------------
@@ -367,34 +326,19 @@ def build_kg(
     nodes_fp = fingerprint(cmap_fp, "nodes")
     nodes_ckpt = StageCheckpoint(out_dir, "nodes", nodes_fp)
 
-    def _edges_chain():
-        e = edges_ckpt.run(
-            lambda: materialize_edges(extracted, cmap),
-            keep_in_memory=True,
-            write_executor=writer,
-        )
-        _mark("edges built")
-        ea = edges_agg_ckpt.run(
-            lambda: materialize_edges_agg(e), write_executor=writer
-        )
-        _mark("edges_agg built")
-        return e, ea
-
-    # edges(+agg) and nodes are independent — overlapped only when configured
-    edges_future = (pool if overlap else _Inline).submit(_edges_chain)
+    edges = edges_ckpt.run(
+        lambda: materialize_edges(extracted, cmap), write_executor=writer
+    )
+    _mark("edges built")
+    edges_agg = edges_agg_ckpt.run(
+        lambda: materialize_edges_agg(edges), write_executor=writer
+    )
+    _mark("edges_agg built")
     nodes = nodes_ckpt.run(
         lambda: materialize_nodes(extracted, cmap), write_executor=writer
     )
     _mark("nodes done")
-    edges, edges_agg = edges_future.result()
-    _mark("edges+agg done")
-
-    # ---- side branch result (built after extraction in serial mode) --------
-    chunks = chunks_future.result() if chunks_future is not None else None
-    if pool is not None:
-        pool.shutdown(wait=True)
-    if scan_pool is not pool:
-        scan_pool.shutdown(wait=True)
+    scan_pool.shutdown(wait=True)
 
     # durability barrier: all background checkpoint writes must land before
     # metrics read the manifests / the call returns resumable state
@@ -414,42 +358,13 @@ def build_kg(
     # state/ carries what `append_kg` (pipelines/kg_append.py) needs to fold a
     # new day of conversations in WITHOUT touching the base corpus again:
     # the conv-id manifest (membership check), the distinct unknown norms
-    # (canonical-map extension), and the build parameters. dead_letter/ is
-    # the explicit-policy export of extractor-failed rows (SURVEY.md §4) —
-    # counted in metrics AND persisted as a queryable Parquet partition.
-    dead_letter_path = None
-    if stats.dead_total:
-        import pyarrow as _pa
-        import pyarrow.parquet as _pqw
-
-        dl_dir = out / "dead_letter"
-        dl_dir.mkdir(exist_ok=True)
-        dead_letter_path = str(dl_dir / "part-build.parquet")
-        _pqw.write_table(
-            _pa.table(
-                {
-                    "conv_id": _pa.array([r[0] for r in stats.dead_rows], _pa.string()),
-                    "turn_idx": _pa.array([r[1] for r in stats.dead_rows], _pa.int64()),
-                    "error": _pa.array([r[2] for r in stats.dead_rows], _pa.string()),
-                }
-            ),
-            dead_letter_path,
-        )
+    # (canonical-map extension), and the build parameters. dead_letter/ rows
+    # are counted in metrics AND persisted as a queryable Parquet partition.
+    dead_letter_path = write_ingest_state(
+        out, "build", stats, stats.norms if track else None
+    )
     if track:
-        import pyarrow as _pa
-        import pyarrow.parquet as _pqw
-
-        state_dir = out / "state"
-        (state_dir / "conv_ids").mkdir(parents=True, exist_ok=True)
-        _pqw.write_table(
-            _pa.table({"conv_id": _pa.array(sorted(stats.convs), _pa.string())}),
-            state_dir / "conv_ids" / "part-build.parquet",
-        )
-        _pqw.write_table(
-            _pa.table({"norm": _pa.array(sorted(stats.norms), _pa.string())}),
-            state_dir / "distinct_norms.parquet",
-        )
-        (state_dir / "build_info.json").write_text(
+        (out / "state" / "build_info.json").write_text(
             json.dumps(
                 {
                     "transcripts_path": str(transcripts_path),
@@ -463,7 +378,7 @@ def build_kg(
                     "appends": [],
                     "sections": {
                         k: dict(cfg.section(k))
-                        for k in ("linking", "canon", "assembly", "incremental")
+                        for k in ("linking", "canon", "incremental")
                     },
                 },
                 indent=1,

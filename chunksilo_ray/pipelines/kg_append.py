@@ -44,7 +44,13 @@ from ray.data import Dataset
 
 from ..config import Config
 from ..stages.assemble import assemble_dialogues
-from ..stages.canon import CanonicalDriftError, build_canonical_map, canonical_remap
+from ..stages.canon import (
+    CanonicalDriftError,
+    build_canonical_map,
+    canonical_remap,
+    load_canonical_map,
+    save_canonical_map,
+)
 from ..stages.link import link_extract
 from ..stages.materialize import (
     materialize_edges,
@@ -60,7 +66,7 @@ from ..state.manifest import (
     fingerprint,
     input_fingerprint,
 )
-from .kg import scan_extracted_stats
+from .kg import scan_extracted_stats, write_ingest_state
 
 __all__ = ["append_kg", "CanonicalDriftError"]
 
@@ -109,46 +115,6 @@ def _filter_new_convs(new_ds: Dataset, conv_manifest_dir: str) -> tuple[Dataset,
     )
 
 
-def _append_parts(ckpt_dir: pathlib.Path, ds: Dataset, batch_tag: str, new_fp: str) -> int:
-    """Write a delta's blocks as EXTRA part files inside an existing stage
-    checkpoint (one plain write task per pinned block, like
-    StageCheckpoint._write_checkpoint) and update the manifest in place.
-    Returns the delta row count."""
-    import os
-
-    @ray.remote(num_cpus=0.5)
-    def _write_block(block, path: str) -> tuple[int, int]:
-        pq.write_table(block, path)
-        return block.num_rows, os.stat(path).st_size
-
-    refs, names = [], []
-    for i, b in enumerate(ds.to_arrow_refs()):
-        name = f"part-{batch_tag}-{i:06d}.parquet"
-        names.append(name)
-        refs.append(_write_block.remote(b, str(ckpt_dir / name)))
-    results = ray.get(refs)
-    parts = []
-    for name, (rows, nbytes) in zip(names, results):
-        if rows:
-            parts.append({"file": name, "rows": rows, "bytes": nbytes})
-        else:
-            (ckpt_dir / name).unlink(missing_ok=True)
-    mpath = ckpt_dir / "_MANIFEST.json"
-    m = json.loads(mpath.read_text())
-    m["parts"] = m.get("parts", []) + parts
-    m["rows"] = int(m.get("rows", 0)) + sum(p["rows"] for p in parts)
-    m["fingerprint"] = new_fp
-    mpath.write_text(json.dumps(m, indent=1))
-    return sum(p["rows"] for p in parts)
-
-
-def _replace_checkpoint(root: str, stage: str, fp: str, ds: Dataset) -> StageCheckpoint:
-    """Atomically replace a stage checkpoint with a rebuilt dataset."""
-    ck = StageCheckpoint(root, stage, fp)
-    ck._write_checkpoint(ds.materialize(), None)
-    return ck
-
-
 def append_kg(
     out_dir: str,
     new_transcripts: str,
@@ -190,49 +156,30 @@ def append_kg(
         input_fingerprint(new_transcripts), info["cmap_fp"], code_fp, sorted(new_convs)[:100]
     )
     batch_root = str(out / "append" / batch_fp)
-    salt_threshold = cfg.get("assembly.salt_threshold")
     link_cfg = cfg.section("linking")
     asm_ckpt = StageCheckpoint(batch_root, "assembled", fingerprint(batch_fp, "assemble"))
-    assembled = asm_ckpt.run(lambda: assemble_dialogues(delta, salt_threshold=salt_threshold))
+    assembled = asm_ckpt.run(lambda: assemble_dialogues(delta))
     ext_ckpt = StageCheckpoint(batch_root, "extracted", fingerprint(batch_fp, "extract"))
-
     alias_table = pq.read_table(alias_path)
-
-    def _extract():
-        alias_ref = ray.put(alias_table)
-        return link_extract(
-            assembled,
-            alias_ref,
-            max_ngram=link_cfg["max_ngram"],
-            batch_size=link_cfg["batch_size"],
-            concurrency=link_cfg["concurrency"],
-            num_cpus=link_cfg["num_cpus"],
-            per_row_seconds=link_cfg["per_row_seconds"],
-            mode=link_cfg.get("mode", "auto"),
-        )
-
-    extracted = ext_ckpt.run(_extract, keep_in_memory=True)
+    extracted = ext_ckpt.run(
+        lambda: link_extract(assembled, ray.put(alias_table), **link_cfg)
+    )
     stats = scan_extracted_stats(extracted, collect_convs=True,
                                  dead_cap=int(cfg.get("incremental.dead_letter_cap") or 1_000_000))()
 
     # ---- 3. canonical map extension + drift remap ----------------------------
     canon_cfg = cfg.section("canon")
-    old_map = json.loads((out / "canonical_map.json").read_text())["map"]
+    old_map = load_canonical_map(out, info["cmap_fp"])
+    if old_map is None:
+        raise FileNotFoundError(
+            f"no canonical map for fingerprint {info['cmap_fp']} under {out} — "
+            "the build state is inconsistent; rebuild"
+        )
     old_norms = set(
         pq.read_table(state / "distinct_norms.parquet")["norm"].to_pylist()
     )
     union_norms = old_norms | stats.norms
-    new_map = build_canonical_map(
-        extracted,
-        num_perm=canon_cfg["num_perm"],
-        bands=canon_cfg["bands"],
-        shingle_k=canon_cfg["shingle_k"],
-        max_group=canon_cfg["max_group"],
-        max_pairs=canon_cfg["max_pairs"],
-        jaccard_threshold=canon_cfg["jaccard_threshold"],
-        cosine_threshold=canon_cfg["cosine_threshold"],
-        norms=union_norms,
-    )
+    new_map = build_canonical_map(extracted, norms=union_norms, **canon_cfg)
     remap = canonical_remap(old_map, new_map, old_norms)
 
     # ---- 4. fold -------------------------------------------------------------
@@ -241,17 +188,14 @@ def append_kg(
     delta_edges = materialize_edges(extracted, new_map).materialize()
     delta_nodes = materialize_nodes(extracted, new_map)
 
-    edges_dir = out / "edges"
     edges_fp = fingerprint(info["edges_fp"], batch_fp, "edges+append")
+    edges_ckpt = StageCheckpoint(str(out), "edges", edges_fp)
     if remap:
         # drift: the base tables reference merged-away canonicals — rewrite
         # them (tiny broadcast, dictionary-encoded) and restore per-turn key
         # uniqueness, then write a fresh checkpoint from base' + delta
-        base_edges = remap_canonical_ids(
-            rd.read_parquet(str(edges_dir)), remap, ["subj", "obj"]
-        )
-        edges_all = reaggregate_turn_edges(base_edges.union(delta_edges))
-        edges_ckpt = _replace_checkpoint(str(out), "edges", edges_fp, edges_all)
+        base_edges = remap_canonical_ids(edges_ckpt.read(), remap, ["subj", "obj"])
+        edges_ckpt.run(lambda: reaggregate_turn_edges(base_edges.union(delta_edges)))
         base_agg = remap_canonical_ids(
             rd.read_parquet(str(out / "edges_agg")), remap, ["subj", "obj"]
         )
@@ -259,56 +203,20 @@ def append_kg(
             rd.read_parquet(str(out / "nodes")), remap, ["entity_id", "canonical"]
         )
     else:
-        _append_parts(edges_dir, delta_edges, batch_fp[:8], edges_fp)
-        edges_ckpt = StageCheckpoint(str(out), "edges", edges_fp)
+        edges_ckpt.append_parts(delta_edges, batch_fp[:8], edges_fp)
         base_agg = rd.read_parquet(str(out / "edges_agg"))
         base_nodes = rd.read_parquet(str(out / "nodes"))
 
     agg_fp = fingerprint(info["edges_agg_fp"], batch_fp, "edges_agg+append")
-    edges_agg_ckpt = _replace_checkpoint(
-        str(out), "edges_agg", agg_fp, merge_edges_agg(base_agg, delta_edges)
-    )
+    edges_agg_ckpt = StageCheckpoint(str(out), "edges_agg", agg_fp)
+    edges_agg_ckpt.run(lambda: merge_edges_agg(base_agg, delta_edges))
     nodes_fp = fingerprint(info["nodes_fp"], batch_fp, "nodes+append")
-    nodes_ckpt = _replace_checkpoint(
-        str(out), "nodes", nodes_fp, merge_nodes_agg(base_nodes, delta_nodes)
-    )
+    nodes_ckpt = StageCheckpoint(str(out), "nodes", nodes_fp)
+    nodes_ckpt.run(lambda: merge_nodes_agg(base_nodes, delta_nodes))
 
     # ---- 5. state update (same shape build_kg wrote) --------------------------
-    (state / "conv_ids").mkdir(parents=True, exist_ok=True)
-    pq.write_table(
-        pa.table({"conv_id": pa.array(sorted(stats.convs), pa.string())}),
-        state / "conv_ids" / f"part-append-{batch_fp[:8]}.parquet",
-    )
-    pq.write_table(
-        pa.table({"norm": pa.array(sorted(union_norms), pa.string())}),
-        state / "distinct_norms.parquet",
-    )
-    (out / "canonical_map.json").write_text(
-        json.dumps({"fingerprint": new_cmap_fp, "map": new_map})
-    )
-    norm_keys = sorted(new_map)
-    pq.write_table(
-        pa.table(
-            {
-                "norm": pa.array(norm_keys, pa.string()),
-                "canonical": pa.array([new_map[k] for k in norm_keys], pa.string()),
-            }
-        ),
-        out / "canonical_map.parquet",
-    )
-    if stats.dead_total:
-        dl_dir = out / "dead_letter"
-        dl_dir.mkdir(exist_ok=True)
-        pq.write_table(
-            pa.table(
-                {
-                    "conv_id": pa.array([r[0] for r in stats.dead_rows], pa.string()),
-                    "turn_idx": pa.array([r[1] for r in stats.dead_rows], pa.int64()),
-                    "error": pa.array([r[2] for r in stats.dead_rows], pa.string()),
-                }
-            ),
-            dl_dir / f"part-append-{batch_fp[:8]}.parquet",
-        )
+    write_ingest_state(out, f"append-{batch_fp[:8]}", stats, union_norms)
+    save_canonical_map(out, new_map, new_cmap_fp)
     info["cmap_fp"] = new_cmap_fp
     info["edges_fp"] = edges_fp
     info["edges_agg_fp"] = agg_fp

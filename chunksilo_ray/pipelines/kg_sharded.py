@@ -17,15 +17,14 @@ checkpoint directory + lineage manifests, so:
 
 Phases:
   1. per shard:  assemble -> extract            [ckpt: shards/<name>/...]
-  2. global:     distinct norms -> canonical map [cmap fingerprint = all
-                                                  shard extract fps]
+  2. global:     distinct norms -> canonical map [saved once, fingerprint =
+                                                  all shard extract fps]
   3. per shard:  edges materialize (global map)  [ckpt]
   4. global:     edges_agg + nodes over the union of shards [ckpt]
 """
 
 from __future__ import annotations
 
-import json
 import pathlib
 
 import pyarrow.parquet as pq
@@ -35,7 +34,11 @@ from ray.data import Dataset
 
 from ..config import Config
 from ..stages.assemble import assemble_dialogues
-from ..stages.canon import build_canonical_map
+from ..stages.canon import (
+    build_canonical_map,
+    load_canonical_map,
+    save_canonical_map,
+)
 from ..stages.link import link_extract
 from ..stages.materialize import (
     materialize_edges,
@@ -59,6 +62,14 @@ def _resolve_shards(transcripts: str | list[str]) -> list[str]:
     return [str(p)]
 
 
+def _union(ckpts: list[StageCheckpoint]) -> Dataset:
+    ds: Dataset | None = None
+    for ck in ckpts:
+        d = ck.read()
+        ds = d if ds is None else ds.union(d)
+    return ds
+
+
 def build_kg_sharded(
     transcripts: str | list[str],
     alias_path: str,
@@ -77,7 +88,6 @@ def build_kg_sharded(
     code_fp = code_fingerprint(str(pathlib.Path(__file__).resolve().parents[1]))
     alias_fp = input_fingerprint(alias_path)
     alias_table = pq.read_table(alias_path)
-    salt_threshold = cfg.get("assembly.salt_threshold")
     link_cfg = cfg.section("linking")
     canon_cfg = cfg.section("canon")
 
@@ -87,53 +97,25 @@ def build_kg_sharded(
         name = pathlib.Path(path).stem
         shard_root = str(out / "shards" / name)
         base_fp = fingerprint(input_fingerprint(path), alias_fp, code_fp)
-        asm_fp = fingerprint(base_fp, "assemble", salt_threshold)
+        asm_fp = fingerprint(base_fp, "assemble")
         asm_ckpt = StageCheckpoint(shard_root, "assembled", asm_fp)
         assembled = asm_ckpt.run(
-            lambda p=path: assemble_dialogues(rd.read_parquet(p), salt_threshold)
+            lambda p=path: assemble_dialogues(rd.read_parquet(p))
         )
         ext_fp = fingerprint(asm_fp, "extract", sorted(link_cfg.items()))
         ext_ckpt = StageCheckpoint(shard_root, "extracted", ext_fp)
-
-        def _build(assembled_ds=assembled):
-            alias_ref = ray.put(alias_table)
-            return link_extract(
-                assembled_ds,
-                alias_ref,
-                max_ngram=link_cfg["max_ngram"],
-                batch_size=link_cfg["batch_size"],
-                concurrency=link_cfg["concurrency"],
-                num_cpus=link_cfg["num_cpus"],
-                per_row_seconds=link_cfg["per_row_seconds"],
-            )
-
-        ext_ckpt.run(_build)
+        ext_ckpt.run(
+            lambda a=assembled: link_extract(a, ray.put(alias_table), **link_cfg)
+        )
         shard_ckpts.append((name, ext_ckpt))
+    ext_ckpts = [ck for _, ck in shard_ckpts]
 
     # ---- phase 2: GLOBAL canonical map --------------------------------------
-    all_ext_fp = fingerprint([ck.fp for _, ck in shard_ckpts], sorted(canon_cfg.items()))
-    cmap_path = out / "canonical_map.json"
-    cmap: dict[str, str] | None = None
-    if cmap_path.exists():
-        saved = json.loads(cmap_path.read_text())
-        if saved.get("fingerprint") == all_ext_fp:
-            cmap = saved["map"]
+    all_ext_fp = fingerprint([ck.fp for ck in ext_ckpts], sorted(canon_cfg.items()))
+    cmap = load_canonical_map(out, all_ext_fp)
     if cmap is None:
-        union_ext: Dataset | None = None
-        for _, ck in shard_ckpts:
-            ds = ck.read()
-            union_ext = ds if union_ext is None else union_ext.union(ds)
-        cmap = build_canonical_map(
-            union_ext,
-            num_perm=canon_cfg["num_perm"],
-            bands=canon_cfg["bands"],
-            shingle_k=canon_cfg["shingle_k"],
-            max_group=canon_cfg["max_group"],
-            max_pairs=canon_cfg["max_pairs"],
-            jaccard_threshold=canon_cfg["jaccard_threshold"],
-            cosine_threshold=canon_cfg["cosine_threshold"],
-        )
-        cmap_path.write_text(json.dumps({"fingerprint": all_ext_fp, "map": cmap}))
+        cmap = build_canonical_map(_union(ext_ckpts), **canon_cfg)
+        save_canonical_map(out, cmap, all_ext_fp)
 
     # ---- phase 3: per-shard edges with the global map -----------------------
     edge_dirs: list[StageCheckpoint] = []
@@ -145,22 +127,13 @@ def build_kg_sharded(
         edge_dirs.append(e_ckpt)
 
     # ---- phase 4: global aggregates over the shard union --------------------
-    def _union(ckpts: list[StageCheckpoint]) -> Dataset:
-        ds: Dataset | None = None
-        for ck in ckpts:
-            d = ck.read()
-            ds = d if ds is None else ds.union(d)
-        return ds
-
     agg_fp = fingerprint([c.fp for c in edge_dirs], "edges_agg")
     agg_ckpt = StageCheckpoint(str(out), "edges_agg", agg_fp)
     edges_agg = agg_ckpt.run(lambda: materialize_edges_agg(_union(edge_dirs)))
 
-    nodes_fp = fingerprint([ck.fp for _, ck in shard_ckpts], all_ext_fp, "nodes")
+    nodes_fp = fingerprint([ck.fp for ck in ext_ckpts], all_ext_fp, "nodes")
     nodes_ckpt = StageCheckpoint(str(out), "nodes", nodes_fp)
-    nodes = nodes_ckpt.run(
-        lambda: materialize_nodes(_union([ck for _, ck in shard_ckpts]), cmap)
-    )
+    nodes = nodes_ckpt.run(lambda: materialize_nodes(_union(ext_ckpts), cmap))
 
     edges = _union(edge_dirs)
     metrics = {

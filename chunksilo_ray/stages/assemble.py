@@ -1,10 +1,5 @@
 """Dialogue assembly: per-turn offset computation without moving text.
 
-Two paths, identical outputs (parity-tested): a lengths-only shuffle +
-broadcast attach (default — text bytes never enter an exchange), and the
-round-2 global sort(conv_id, turn_idx) + vectorized reassembly as the
-over-budget fallback. Details at ``assemble_dialogues``.
-
 The Ray-Data analog of the reference's heading-aware document splitting
 (reference src/chunksilo/docx_utils.py:118-285: group body under ordered
 headings -> per-section documents): restore turn order per conversation and
@@ -12,26 +7,23 @@ compute each turn's character offset inside the assembled conversation
 document ("<role>: <text>\n" per turn).
 
 Per the north rule, the per-turn ``text`` column passes through BYTE-EQUAL —
-assembly adds ordering/offset columns, it never rewrites text.
+assembly adds ordering/offset columns, it never rewrites text, and text
+bytes never enter an exchange. Every downstream consumer (extraction,
+chunking) is strictly per-turn; only the two derived columns
+(``conv_n_turns``, ``doc_char_start``) need cross-row information, so only
+light (conv_id, turn_idx, length) rows are exchanged. Two paths, identical
+outputs (parity-tested against a single-process reference):
 
-Scale design (round 2 — replaces the round-1 groupby+map_groups):
+- broadcast attach (default): a lengths-only two-stage hash exchange builds
+  per-part offset payloads; every attach worker merges them once into one
+  offsets index and stamps the unmoved turns. Per-worker memory is
+  O(#turns) — fine to ~8M turns.
+- co-partitioned attach (over the broadcast budget): light rows go out by
+  conversation hash and the computed offsets come back by source block, so
+  per-task memory is O(part) or O(block) and the driver holds only refs.
 
-- ONE global ``sort(conv_id, turn_idx)`` is the only shuffle. Range
-  partitioning splits by row count, never by key, so a pathological
-  million-turn conversation simply spans several blocks — skew cannot
-  concentrate on one reducer and no salting is needed (the north rule's
-  "salted repartitioning" concern is discharged by the sort itself; the
-  ``salt_threshold`` knob is kept for config/fingerprint compatibility).
-- Per-turn offsets are then computed in ``map_batches`` with NumPy segmented
-  cumulative sums — zero per-group Python calls (the round-1
-  ``map_groups`` paid one UDF invocation per conversation, the dominant
-  cost at 15k+ conversations per shard).
-- Conversations that span block boundaries are stitched exactly like the
-  round-1 salted windows: one cheap scan over the pinned sorted blocks
-  emits a tiny per-(block-fragment) header table, the driver computes each
-  fragment's base offset + the conversation's total turn count, and the
-  final vectorized pass patches only fragmented conversations' rows.
-  Fragment count is O(#blocks), never O(#conversations)."""
+Skew needs no salting on either path: a giant conversation costs one
+reduce task a few tens of bytes per turn, never its text."""
 
 from __future__ import annotations
 
@@ -54,153 +46,17 @@ ASSEMBLED_COLUMNS = [
 ]
 
 
-def _prep_batch(t: pa.Table) -> pa.Table:
-    # per-turn contribution to the assembled doc: len(role) + ": " + len(text) + "\n"
-    contrib = pc.add(
-        pc.add(pc.utf8_length(t["role"]), pc.utf8_length(t["text"])),
-        pa.scalar(3, pa.int32()),
-    )
-    return t.append_column("contrib_len", pc.cast(contrib, pa.int64()))
-
-
-def _segments(conv: pa.Array) -> np.ndarray:
-    """Start indices of equal-conv_id runs in a sorted column (always
-    includes 0)."""
-    if len(conv) == 0:
-        return np.zeros(0, dtype=np.int64)
-    if isinstance(conv, pa.ChunkedArray):
-        conv = conv.combine_chunks()
-    neq = pc.not_equal(conv.slice(1), conv.slice(0, len(conv) - 1))
-    changes = np.flatnonzero(neq.to_numpy(zero_copy_only=False))
-    return np.concatenate(([0], changes + 1)).astype(np.int64)
-
-
-_HEADER_SCHEMA = pa.schema(
-    [
-        ("conv_id", pa.string()),
-        ("first_turn", pa.int64()),
-        ("frag_total", pa.int64()),
-        ("frag_n", pa.int64()),
-    ]
-)
-
-
-def _fragment_headers(t: pa.Table) -> pa.Table:
-    """Per-block fragment summary: one row per conv_id run in the block.
-    Only runs touching a block edge can belong to a fragmented conversation;
-    emitting all runs would make the header table O(#conversations), so this
-    emits just the first and last run of the block (2 rows per block)."""
-    n = t.num_rows
-    if n == 0:
-        return _HEADER_SCHEMA.empty_table()
-    starts = _segments(t["conv_id"])
-    ends = np.concatenate((starts[1:], [n])).astype(np.int64)
-    contrib = t["contrib_len"].to_numpy(zero_copy_only=False)
-    csum = np.concatenate(([0], np.cumsum(contrib)))
-    turn = t["turn_idx"].to_numpy(zero_copy_only=False)
-
-    keep = [0] if len(starts) == 1 else [0, len(starts) - 1]
-    rows = {
-        "conv_id": t["conv_id"].take(pa.array(starts[keep])),
-        "first_turn": pa.array(turn[starts[keep]].astype(np.int64)),
-        "frag_total": pa.array(csum[ends[keep]] - csum[starts[keep]]),
-        "frag_n": pa.array(ends[keep] - starts[keep]),
-    }
-    return pa.table(rows, schema=_HEADER_SCHEMA)
-
-
-def _collect_bases(sorted_local: Dataset) -> dict[tuple[str, int], tuple[int, int]]:
-    """{(conv_id, fragment_first_turn): (base_char_offset, conv_total_turns)}
-    for conversations split across block boundaries. Header volume is two
-    rows per block — O(#blocks), independent of corpus shape."""
-    rows = sorted_local.map_batches(
-        _fragment_headers, batch_format="pyarrow", batch_size=None, zero_copy_batch=True
-    ).take_all()
-    by_conv: dict[str, list[dict]] = {}
-    for r in rows:
-        by_conv.setdefault(r["conv_id"], []).append(r)
-    bases: dict[tuple[str, int], tuple[int, int]] = {}
-    for conv_id, frags in by_conv.items():
-        # a conversation is fragmented iff it produced >1 header row, or its
-        # single edge-touching header is open on a side with a neighbor block
-        # (which then also emitted a header for it) — so >1 rows is the test
-        if len(frags) <= 1:
-            continue
-        frags.sort(key=lambda r: r["first_turn"])
-        total_turns = sum(f["frag_n"] for f in frags)
-        acc = 0
-        for f in frags:
-            bases[(conv_id, f["first_turn"])] = (acc, total_turns)
-            acc += f["frag_total"]
-    return bases
-
-
-def _finalize_fn(bases: dict[tuple[str, int], tuple[int, int]]):
-    frag_convs = {c for c, _ in bases}
-
-    def finalize(t: pa.Table) -> pa.Table:
-        n = t.num_rows
-        if n == 0:
-            t = t.append_column("conv_n_turns", pa.array([], pa.int32()))
-            t = t.append_column("doc_char_start", pa.array([], pa.int64()))
-            return t.select(ASSEMBLED_COLUMNS)
-        starts = _segments(t["conv_id"])
-        ends = np.concatenate((starts[1:], [n])).astype(np.int64)
-        seg_len = ends - starts
-        seg_id = np.repeat(np.arange(len(starts)), seg_len)
-
-        contrib = t["contrib_len"].to_numpy(zero_copy_only=False)
-        excl = np.concatenate(([0], np.cumsum(contrib[:-1])))
-        local = excl - excl[starts][seg_id]  # within-run exclusive cumsum
-        role_len = pc.utf8_length(t["role"]).to_numpy(zero_copy_only=False)
-        doc_start = local + role_len + 2
-        n_turns = seg_len[seg_id]
-
-        if frag_convs:
-            conv_at_start = t["conv_id"].take(pa.array(starts)).to_pylist()
-            turn = t["turn_idx"].to_numpy(zero_copy_only=False)
-            for k, cid in enumerate(conv_at_start):
-                if cid in frag_convs:
-                    hit = bases.get((cid, int(turn[starts[k]])))
-                    if hit is not None:
-                        base, total = hit
-                        doc_start[starts[k] : ends[k]] += base
-                        n_turns[starts[k] : ends[k]] = total
-
-        t = t.append_column("conv_n_turns", pa.array(n_turns.astype(np.int32)))
-        t = t.append_column("doc_char_start", pa.array(doc_start, pa.int64()))
-        return t.select(ASSEMBLED_COLUMNS)
-
-    return finalize
-
-
-def _assemble_sort(turns: Dataset) -> Dataset:  # retained: parity baseline + GRAFT_ASM_FALLBACK=sort
-    """The full-payload global-sort path (round-2 design): the fallback when
-    the per-turn offset table itself is too big to broadcast."""
-    prepped = turns.map_batches(
-        _prep_batch, batch_format="pyarrow", batch_size=None, zero_copy_batch=True
-    )
-    local = prepped.sort(["conv_id", "turn_idx"]).materialize()
-    bases = _collect_bases(local)
-    return local.map_batches(
-        _finalize_fn(bases), batch_format="pyarrow", batch_size=None, zero_copy_batch=True
-    )
-
-
 # ---------------------------------------------------------------------------
-# Broadcast-offsets path (round 3): the sort moved the full text payload
-# through the exchange twice, yet every downstream consumer (extraction,
-# chunking) is strictly per-turn — only the two derived columns need
-# cross-row information. So: compute per-turn lengths in a cheap projection
+# Broadcast-offsets path: compute per-turn lengths in a cheap projection
 # scan, exchange ONLY (conv_id, turn_idx, contrib_len) — tens of bytes/row
 # instead of the text — through a TARGETED two-stage hash exchange (split
 # each lengths block by part, one reduce task per part; raw Ray tasks
 # because Dataset groupby() is a sort-based global shuffle, ~6x the cost of
 # this exchange for a small 64-way partition), leave the per-part payloads
 # in the object store, and attach the two columns to the UNMOVED turns in a
-# second scan that merges the parts once per worker. Text bytes never enter
-# an exchange; the driver touches only object refs. Over the broadcast
-# budget (offsets table no longer "small side"), fall back to the sort.
+# second scan that merges the parts once per worker. The driver touches
+# only object refs. Over the broadcast budget (offsets table no longer
+# "small side"), the co-partitioned attach below takes over.
 
 _OFFSET_PARTS = 64
 # first-part ref.hex -> (unique-conv pd.Index, sorted int64 keys, starts,
@@ -388,17 +244,15 @@ def _assemble_broadcast(turns: Dataset) -> Dataset:
             print(f"[asm +{_time.perf_counter() - _t0:6.2f}s] {name}",
                   file=_sys.stderr, flush=True)
 
-    # Single-decode mode (default ON): decode the input parquet ONCE and
-    # serve both the lengths scan and the attach scan from the object
-    # store (plasma memcpy) instead of re-decoding the text column in the
-    # attach pass. Clean-window A/B (sf0.3): -12% end-to-end at 8 cpus
-    # (29.8 -> 26.3 s, assembly segment -34%), neutral at 2 cpus — parquet
-    # DECODE is the contended resource once cores share memory channels,
-    # memcpy is not. Costs one extra text copy in plasma for the stage's
-    # lifetime; set GRAFT_ASM_MATERIALIZE_INPUT=0 on memory-tight runs.
-    if _os.environ.get("GRAFT_ASM_MATERIALIZE_INPUT", "1") == "1":
-        turns = turns.materialize()
-        _mark("input materialized (single-decode mode)")
+    # Single decode: decode the input parquet ONCE and serve both the
+    # lengths scan and the attach scan from the object store (plasma
+    # memcpy) instead of re-decoding the text column in the attach pass.
+    # Clean-window A/B (sf0.3): -12% end-to-end at 8 cpus (29.8 -> 26.3 s,
+    # assembly segment -34%), neutral at 2 cpus — parquet DECODE is the
+    # contended resource once cores share memory channels, memcpy is not.
+    # Costs one extra text copy in plasma for the stage's lifetime.
+    turns = turns.materialize()
+    _mark("input materialized (single-decode mode)")
 
     # Targeted two-stage hash exchange with raw Ray tasks — the one spot the
     # Dataset API can't express (Ray 2.49 groupby() is a SORT-based global
@@ -601,42 +455,30 @@ def _assemble_copartition(turns: Dataset) -> Dataset:
 
 def assemble_dialogues(
     turns: Dataset,
-    salt_threshold: int = 512,
     broadcast_limit: int | None = None,
     path: str | None = None,
 ) -> Dataset:
-    """SHUFFLE #1 of the KG pipeline (SURVEY.md §3.4). Returns per-turn rows
-    with ``conv_n_turns`` and ``doc_char_start`` (offset of the turn text
-    inside the assembled "<role>: <text>\\n" conversation document).
+    """The KG pipeline's assembly stage (SURVEY.md §3.4). Returns per-turn
+    rows with ``conv_n_turns`` and ``doc_char_start`` (offset of the turn
+    text inside the assembled "<role>: <text>\\n" conversation document).
 
     Path selection (``path=None`` auto): when the per-turn offset table fits
     the broadcast budget (``broadcast_limit`` rows, default 8M ~ 300 MB),
-    lengths-only exchange + broadcast attach — fastest, but each attach
-    worker holds the full merged offsets index. Past the budget: the
-    CO-PARTITIONED attach (round 5) — light rows exchanged in both
-    directions, per-task memory O(part)/O(block), text still never moves;
-    this is the 100-TB path. The round-2 full-payload global sort is kept
-    as ``path="sort"`` / env ``GRAFT_ASM_FALLBACK=sort`` for parity
-    baselines only. ``salt_threshold`` is retained for config/fingerprint
-    compatibility. Output columns and values are identical on all paths
-    (parity-tested); row ORDER is not part of the contract (broadcast and
-    co-partition preserve input order, sort path sorts)."""
-    import os as _os
-
-    del salt_threshold
+    ``"broadcast"`` — lengths-only exchange + broadcast attach, fastest, but
+    each attach worker holds the full merged offsets index. Past the budget
+    (or ``broadcast_limit=0``), ``"copartition"`` — light rows exchanged in
+    both directions, per-task memory O(part)/O(block); this is the 100-TB
+    path. Output columns and values are identical on both paths
+    (parity-tested); row ORDER is not part of the contract."""
     if path is None:
         if broadcast_limit is None:
             broadcast_limit = 8_000_000
         if broadcast_limit > 0 and turns.count() <= broadcast_limit:
             path = "broadcast"
-        elif _os.environ.get("GRAFT_ASM_FALLBACK") == "sort":
-            path = "sort"
         else:
             path = "copartition"
     if path == "broadcast":
         return _assemble_broadcast(turns)
     if path == "copartition":
         return _assemble_copartition(turns)
-    if path == "sort":
-        return _assemble_sort(turns)
     raise ValueError(f"unknown assembly path: {path!r}")

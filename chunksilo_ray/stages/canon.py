@@ -23,11 +23,14 @@ EXACTLY (all candidate pairs, no LSH) — the P/R gate absorbs LSH misses.
 from __future__ import annotations
 
 import logging
+import os
+import pathlib
 import zlib
 
 import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
+import pyarrow.parquet as pq
 import ray
 import ray.data as rd
 
@@ -387,19 +390,50 @@ CANON_BROADCAST_LIMIT = 5_000_000
 _NO_NORM = "\x00"
 
 
+def _canonical_map_table(cmap: dict[str, str]) -> pa.Table:
+    keys = sorted(cmap)
+    return pa.table(
+        {
+            "norm": pa.array(keys, pa.string()),
+            "canonical": pa.array([cmap[k] for k in keys], pa.string()),
+        }
+    )
+
+
 def canonical_map_dataset(cmap: dict[str, str]):
     """Flat (norm, canonical) Dataset view of a canonical map."""
-    import ray.data as rd
+    return rd.from_arrow(_canonical_map_table(cmap))
 
-    keys = sorted(cmap)
-    return rd.from_arrow(
-        pa.table(
-            {
-                "norm": pa.array(keys, pa.string()),
-                "canonical": pa.array([cmap[k] for k in keys], pa.string()),
-            }
-        )
+
+# the map's one persistent form: a flat (norm, canonical) Parquet table with
+# the lineage fingerprint in its schema metadata. The same file lets an
+# external SQL engine recompute edges/nodes from the extracted checkpoint by
+# joining the map (the kg_* DuckDB oracles).
+_CMAP_FILE = "canonical_map.parquet"
+_CMAP_FP_KEY = b"fingerprint"
+
+
+def save_canonical_map(out, cmap: dict[str, str], fp: str) -> None:
+    """Atomically write ``cmap`` under ``out`` tagged with lineage ``fp``."""
+    path = pathlib.Path(out) / _CMAP_FILE
+    tmp = path.with_name(path.name + ".tmp")
+    pq.write_table(
+        _canonical_map_table(cmap).replace_schema_metadata({_CMAP_FP_KEY: fp.encode()}),
+        tmp,
     )
+    os.replace(tmp, path)
+
+
+def load_canonical_map(out, fp: str) -> dict[str, str] | None:
+    """The map saved under ``out``, or None when there is none or it was
+    built for a different lineage fingerprint than ``fp``."""
+    path = pathlib.Path(out) / _CMAP_FILE
+    if not path.exists():
+        return None
+    t = pq.read_table(path)
+    if (t.schema.metadata or {}).get(_CMAP_FP_KEY) != fp.encode():
+        return None
+    return dict(zip(t["norm"].to_pylist(), t["canonical"].to_pylist()))
 
 
 def _apply_cmap_shuffle(ds: Dataset, cmap_ds, columns: list[str]) -> Dataset:

@@ -24,9 +24,9 @@ import time
 from typing import Callable
 
 import pyarrow.parquet as pq
-
-from ray.data import Dataset
+import ray
 import ray.data as rd
+from ray.data import Dataset
 
 MANIFEST_NAME = "_MANIFEST.json"
 
@@ -64,6 +64,38 @@ def input_fingerprint(path: str) -> str:
 # locally the old 250k-row coalescing serialized the encode of wide-row
 # tables through a handful of write tasks (chunks-with-embeddings checkpoint:
 # 7.4 s -> 2.2 s once writes parallelized per block).
+
+
+@ray.remote(num_cpus=0.5)
+def _write_block(block, path: str) -> tuple[int, int]:
+    pq.write_table(block, path)
+    return block.num_rows, os.stat(path).st_size
+
+
+def _write_blocks(ds: Dataset, dest: pathlib.Path, prefix: str) -> list[dict]:
+    """Write each pinned block of ``ds`` to ``dest/<prefix>NNNNNN.parquet``
+    and return the part records of the non-empty ones (empty files are
+    dropped).
+
+    Parts are written by ONE PLAIN RAY TASK PER PINNED BLOCK, not by
+    ``ds.write_parquet``: a write operator is a full streaming execution,
+    and a background-thread execution FIGHTS the foreground stage's
+    executor for CPU slots and memory bandwidth (measured: the pipeline
+    stage running concurrently with a background write ran 3-4x its
+    standalone time). Plain tasks interleave with the foreground execution
+    at task granularity, schedule onto the node holding each block
+    (locality), and return (rows, bytes) so the manifest needs no per-file
+    metadata re-read."""
+    refs = ds.to_arrow_refs()
+    names = [f"{prefix}{i:06d}.parquet" for i in range(len(refs))]
+    results = ray.get([_write_block.remote(b, str(dest / n)) for b, n in zip(refs, names)])
+    parts = []
+    for name, (rows, nbytes) in zip(names, results):
+        if rows:
+            parts.append({"file": name, "rows": rows, "bytes": nbytes})
+        else:
+            (dest / name).unlink(missing_ok=True)
+    return parts
 
 
 def code_fingerprint(package_dir: str) -> str:
@@ -104,63 +136,40 @@ class StageCheckpoint:
     def _write_checkpoint(self, ds: Dataset, metrics: dict | None) -> None:
         """Write Parquet parts to a temp dir, rename atomically, record the
         manifest. Until the manifest lands, the stage reads as incomplete —
-        a crash mid-write simply reruns the stage.
-
-        Parts are written by ONE PLAIN RAY TASK PER PINNED BLOCK, not by
-        ``ds.write_parquet``: a write operator is a full streaming
-        execution, and a background-thread execution FIGHTS the foreground
-        stage's executor for CPU slots and memory bandwidth (measured: the
-        pipeline stage running concurrently with a background write ran
-        3-4x its standalone time). Plain tasks interleave with the
-        foreground execution at task granularity, schedule onto the node
-        holding each block (locality), and return (rows, bytes) so the
-        manifest needs no per-file metadata re-read."""
-        import ray as _ray
-
+        a crash mid-write simply reruns the stage."""
         tmp = pathlib.Path(str(self.dir) + ".tmp")
         if tmp.exists():
             shutil.rmtree(tmp)
         if self.dir.exists():
             shutil.rmtree(self.dir)
         tmp.mkdir(parents=True)
-
-        @_ray.remote(num_cpus=0.5)
-        def _write_block(block, path: str) -> tuple[int, int]:
-            pq.write_table(block, path)
-            return block.num_rows, os.stat(path).st_size
-
-        refs = []
-        names = []
-        for i, b in enumerate(ds.to_arrow_refs()):
-            name = f"part-{i:06d}.parquet"
-            names.append(name)
-            refs.append(_write_block.remote(b, str(tmp / name)))
-        results = _ray.get(refs)
-        parts = [
-            {"file": name, "rows": rows, "bytes": nbytes}
-            for name, (rows, nbytes) in zip(names, results)
-            if rows
-        ]
-        total_rows = sum(p["rows"] for p in parts)
-        for name, (rows, _) in zip(names, results):
-            if not rows:  # empty blocks: drop the file, keep the dir clean
-                (tmp / name).unlink(missing_ok=True)
+        parts = _write_blocks(ds, tmp, "part-")
         os.replace(tmp, self.dir)
         manifest = {
             "stage": self.stage,
             "fingerprint": self.fp,
-            "rows": total_rows,
+            "rows": sum(p["rows"] for p in parts),
             "parts": parts,
             "metrics": metrics or {},
             "created_unix": int(time.time()),
         }
         self.manifest_path.write_text(json.dumps(manifest, indent=1))
 
+    def append_parts(self, ds: Dataset, tag: str, fp: str) -> None:
+        """Add ``ds``'s blocks to this existing checkpoint as extra part
+        files (``part-<tag>-NNNNNN.parquet``) and move its manifest to
+        fingerprint ``fp`` in place."""
+        parts = _write_blocks(ds, self.dir, f"part-{tag}-")
+        m = json.loads(self.manifest_path.read_text())
+        m["parts"] += parts
+        m["rows"] += sum(p["rows"] for p in parts)
+        m["fingerprint"] = self.fp = fp
+        self.manifest_path.write_text(json.dumps(m, indent=1))
+
     def run(
         self,
         build: Callable[[], Dataset],
         metrics: dict | None = None,
-        keep_in_memory: bool = True,
         write_executor=None,
     ) -> Dataset:
         """Build-or-reuse: if a manifest with a matching fingerprint exists,
@@ -174,14 +183,10 @@ class StageCheckpoint:
         either way, and the returned dataset is freed when the caller drops
         it.
 
-        ``keep_in_memory`` is retained for API compatibility; every stage now
-        materializes before writing (see above).
-
         ``write_executor``: a ThreadPoolExecutor — the disk-bound checkpoint
         write runs in the background, OFF the pipeline's critical path;
         ``self.write_future`` resolves when the durable copy + manifest
         exist."""
-        del keep_in_memory
         self.write_future = None
         if self.complete():
             return self.read()

@@ -1,5 +1,6 @@
 """Dialogue-assembly invariants (north rule: per-turn text equality under
-stable turn ordering) + salted-skew offset stitching."""
+stable turn ordering) + giant-conversation and block-boundary offsets,
+checked on both assembly paths against a single-process reference."""
 
 import numpy as np
 import pyarrow as pa
@@ -27,7 +28,7 @@ def _reference_offsets(rows):
 def test_per_turn_text_equality_and_order():
     src = datagen.generate_transcripts(3000, seed=42)
     ds = rd.from_arrow(src)
-    out = assemble_dialogues(ds, salt_threshold=512).take_all()
+    out = assemble_dialogues(ds).take_all()
 
     # per-turn text byte-equality vs the input column
     expected = {
@@ -55,7 +56,7 @@ def test_per_turn_text_equality_and_order():
 
 
 def test_salting_stitches_giant_conversation():
-    # one conversation far above the salt threshold, shuffled input
+    # one giant conversation, shuffled input
     n = 1500
     rng = np.random.default_rng(7)
     perm = rng.permutation(n)
@@ -69,9 +70,9 @@ def test_salting_stitches_giant_conversation():
             "ts": pa.array(np.arange(n)[perm], pa.timestamp("us")),
         }
     )
-    # broadcast_limit=0 forces the sort fallback — the giant-conversation
-    # range-partitioning property belongs to that path
-    out = assemble_dialogues(rd.from_arrow(t), salt_threshold=128, broadcast_limit=0).take_all()
+    # broadcast_limit=0 selects the co-partitioned attach: the whole giant
+    # conversation lands in one reduce partition as light rows
+    out = assemble_dialogues(rd.from_arrow(t), broadcast_limit=0).take_all()
     assert len(out) == n
     assert all(r["conv_n_turns"] == n for r in out)
     ref = _reference_offsets(
@@ -82,29 +83,41 @@ def test_salting_stitches_giant_conversation():
         assert r["doc_char_start"] == ref[r["turn_idx"]], r["turn_idx"]
 
 
-def test_broadcast_and_sort_paths_are_value_identical():
-    """The lengths-broadcast path (default) and the full-sort fallback must
-    produce identical (conv_id, turn_idx) -> (text, conv_n_turns,
-    doc_char_start) mappings on a shuffled multi-conversation corpus."""
+def test_assembly_paths_match_reference():
+    """Both assembly paths — lengths broadcast (default) and co-partitioned
+    attach (over budget) — on a shuffled, multi-block corpus: every turn of
+    EVERY conversation keeps its text and gets the conv_n_turns and
+    doc_char_start of the single-process reference."""
     src = datagen.generate_transcripts(2000, seed=9)
-    ds = rd.from_arrow(src)
-
-    def keyed(rows):
-        return {
-            (r["conv_id"], r["turn_idx"]): (r["text"], r["conv_n_turns"], r["doc_char_start"])
-            for r in rows
-        }
-
-    broadcast = keyed(assemble_dialogues(ds).take_all())
-    fallback = keyed(assemble_dialogues(ds, broadcast_limit=0).take_all())
-    assert broadcast == fallback
+    ds = rd.from_arrow(src).repartition(9)
+    expected_text = {
+        (c, i): t
+        for c, i, t in zip(
+            src.column("conv_id").to_pylist(),
+            src.column("turn_idx").to_pylist(),
+            src.column("text").to_pylist(),
+        )
+    }
+    for path in ("broadcast", "copartition"):
+        out = assemble_dialogues(ds, path=path).take_all()
+        assert len(out) == src.num_rows, path
+        by_conv: dict[str, list] = {}
+        for r in out:
+            assert r["text"] == expected_text[(r["conv_id"], r["turn_idx"])], path
+            by_conv.setdefault(r["conv_id"], []).append(r)
+        for conv_id, rows in by_conv.items():
+            ref = _reference_offsets(rows)
+            for r in rows:
+                assert r["conv_n_turns"] == len(rows), (path, conv_id)
+                assert r["doc_char_start"] == ref[r["turn_idx"]], (path, conv_id)
 
 
 def test_sparse_turn_idx_offsets():
     """Sparse, gappy turn_idx values: assembly must compute exact per-turn
     char offsets and conv_n_turns from turn_idx ordering, not from index
     contiguity. Runs the default (broadcast) path; block-boundary coverage
-    for the sort fallback lives in test_fragment_stitching_under_tiny_blocks."""
+    for the co-partitioned path lives in
+    test_fragment_stitching_under_tiny_blocks."""
     idxs = [0, 3, 7, 200, 201, 450]
     t = pa.table(
         {
@@ -129,8 +142,8 @@ def test_sparse_turn_idx_offsets():
 def test_fragment_stitching_under_tiny_blocks():
     """Force MANY block-boundary fragments (tiny target block size + random
     conversation lengths): every turn's doc_char_start and conv_n_turns must
-    equal the single-process reference, for every conversation — the
-    stitch path, not the common path, does the work here."""
+    equal the single-process reference, for every conversation — on the
+    co-partitioned path, whose offsets route back across many blocks."""
     rng = np.random.default_rng(7)
     rows = []
     for c in range(40):
@@ -152,7 +165,6 @@ def test_fragment_stitching_under_tiny_blocks():
     old = ctx.target_max_block_size
     ctx.target_max_block_size = 8 * 1024  # ~tens of rows per block
     try:
-        # sort-path coverage: stitching only exists on the fallback
         out = assemble_dialogues(rd.from_arrow(t), broadcast_limit=0).take_all()
     finally:
         ctx.target_max_block_size = old
@@ -190,7 +202,7 @@ def test_broadcast_attach_boundary_keys():
     )
     ds = rd.from_arrow(t)
     out = assemble_dialogues(ds).take_all()          # broadcast path
-    ref = assemble_dialogues(ds, broadcast_limit=0).take_all()  # sort path
+    ref = assemble_dialogues(ds, broadcast_limit=0).take_all()  # co-partition
     key = lambda r: (r["conv_id"], r["turn_idx"])  # noqa: E731
     a = {key(r): (r["doc_char_start"], r["conv_n_turns"]) for r in out}
     b = {key(r): (r["doc_char_start"], r["conv_n_turns"]) for r in ref}

@@ -60,7 +60,6 @@ def test_resume_after_partial_failure(smoke_corpus, tmp_out):
 
     import chunksilo_ray
 
-    from chunksilo_ray.config import Config
     from chunksilo_ray.stages.assemble import assemble_dialogues
     from chunksilo_ray.state.manifest import (
         StageCheckpoint,
@@ -69,14 +68,13 @@ def test_resume_after_partial_failure(smoke_corpus, tmp_out):
         input_fingerprint,
     )
 
-    cfg = Config()
     tpath = f"{smoke_corpus}/transcripts.parquet"
     apath = f"{smoke_corpus}/alias_index.parquet"
     code_fp = code_fingerprint(str(pathlib.Path(chunksilo_ray.__file__).parent))
     in_fp = fingerprint(input_fingerprint(tpath), input_fingerprint(apath), code_fp)
-    asm_fp = fingerprint(in_fp, "assemble", cfg.get("assembly.salt_threshold"))
+    asm_fp = fingerprint(in_fp, "assemble")
     ckpt = StageCheckpoint(tmp_out, "assembled", asm_fp)
-    ckpt.run(lambda: assemble_dialogues(rd.read_parquet(tpath), cfg.get("assembly.salt_threshold")))
+    ckpt.run(lambda: assemble_dialogues(rd.read_parquet(tpath)))
     created = json.loads((pathlib.Path(tmp_out) / "assembled" / "_MANIFEST.json").read_text())[
         "created_unix"
     ]

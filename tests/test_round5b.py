@@ -7,6 +7,8 @@ import pathlib
 import pyarrow.parquet as pq
 import pytest
 
+from chunksilo_ray.stages.canon import load_canonical_map
+
 pytestmark = pytest.mark.usefixtures("ray_session")
 
 
@@ -32,13 +34,13 @@ def test_state_persisted_for_append(smoke_corpus, tmp_out):
     src = pq.read_table(f"{smoke_corpus}/transcripts.parquet", columns=["conv_id"])
     assert convs == set(src["conv_id"].to_pylist())
 
+    info = json.loads((state / "build_info.json").read_text())
     norms = pq.read_table(str(state / "distinct_norms.parquet"))
     assert norms.num_rows > 0
     # every canonical-map key is an observed unknown norm
-    cmap = json.loads((pathlib.Path(tmp_out) / "canonical_map.json").read_text())["map"]
+    cmap = load_canonical_map(tmp_out, info["cmap_fp"])
+    assert cmap is not None
     assert set(cmap) <= set(norms["norm"].to_pylist())
-
-    info = json.loads((state / "build_info.json").read_text())
     assert info["alias_path"].endswith("alias_index.parquet")
     assert info["appends"] == []
     assert "canon" in info["sections"]
@@ -47,6 +49,27 @@ def test_state_persisted_for_append(smoke_corpus, tmp_out):
     assert res["metrics"]["dead_letter_turns"] == 0
     assert res["metrics"]["dead_letter_path"] is None
     assert not (pathlib.Path(tmp_out) / "dead_letter").exists()
+
+
+def test_resume_reuses_canonical_map(smoke_corpus, tmp_out, monkeypatch):
+    """A second build over a complete out dir loads the saved map instead
+    of rebuilding it; a map saved for another lineage is not loaded."""
+    from chunksilo_ray.pipelines import kg
+
+    first = _run(smoke_corpus, tmp_out, with_chunks=False)
+    info = json.loads((pathlib.Path(tmp_out) / "state" / "build_info.json").read_text())
+    saved = load_canonical_map(tmp_out, info["cmap_fp"])
+    assert saved is not None
+    assert load_canonical_map(tmp_out, "0" * 16) is None
+
+    def _no_rebuild(*args, **kwargs):
+        raise AssertionError("resume rebuilt the canonical map")
+
+    monkeypatch.setattr(kg, "build_canonical_map", _no_rebuild)
+    again = _run(smoke_corpus, tmp_out, with_chunks=False)
+    assert again["metrics"]["canonical_merges"] == len(saved)
+    assert again["metrics"]["edges"] == first["metrics"]["edges"]
+    assert load_canonical_map(tmp_out, info["cmap_fp"]) == saved
 
 
 def test_tracking_opt_out(smoke_corpus, tmp_path):

@@ -62,6 +62,7 @@ def split_corpus(tmp_path_factory):
 def test_append_equals_rebuild(split_corpus, tmp_path):
     from chunksilo_ray.pipelines.kg import build_kg
     from chunksilo_ray.pipelines.kg_append import append_kg
+    from chunksilo_ray.stages.canon import load_canonical_map
 
     alias = str(split_corpus / "alias_index.parquet")
     inc_out = str(tmp_path / "incremental")
@@ -95,9 +96,10 @@ def test_append_equals_rebuild(split_corpus, tmp_path):
     assert len(info["appends"]) == 1
 
     # canonical map converged to the rebuild's (same norm union)
-    cm_inc = json.loads((pathlib.Path(inc_out) / "canonical_map.json").read_text())["map"]
-    cm_full = json.loads((pathlib.Path(full_out) / "canonical_map.json").read_text())["map"]
-    assert cm_inc == cm_full
+    full_info = json.loads((pathlib.Path(full_out) / "state" / "build_info.json").read_text())
+    cm_inc = load_canonical_map(inc_out, info["cmap_fp"])
+    cm_full = load_canonical_map(full_out, full_info["cmap_fp"])
+    assert cm_inc is not None and cm_inc == cm_full
 
 
 def test_append_idempotent(split_corpus, tmp_path):

@@ -66,6 +66,14 @@ def test_sharded_equals_single_shot(smoke_corpus, sharded_corpus, tmp_path):
 
     assert agg_set(sharded["edges_agg"]) == agg_set(single["edges_agg"])
 
+    # both modes persist the same canonical map in the same (Parquet) format
+    def saved_map(out):
+        t = pq.read_table(str(tmp_path / out / "canonical_map.parquet"))
+        return dict(zip(t["norm"].to_pylist(), t["canonical"].to_pylist()))
+
+    assert saved_map("sharded") == saved_map("single")
+    assert sharded["metrics"]["canonical_merges"] == len(saved_map("single"))
+
 
 def test_shard_level_resume(smoke_corpus, sharded_corpus, tmp_path):
     from chunksilo_ray.pipelines.kg_sharded import build_kg_sharded
