@@ -293,7 +293,7 @@ def run_scaling() -> dict:
         # pairs — every artifact then attributes its own serial segment
         r["stage_marks"] = [
             [f"{m.group(1)}+{float(m.group(2)):g}", m.group(3)]
-            for m in re.finditer(r"\[(kg|asm) \+\s*([0-9.]+)s\] (.+)", proc.stderr)
+            for m in re.finditer(r"\[(kg) \+\s*([0-9.]+)s\] (.+)", proc.stderr)
         ]
         return r
 

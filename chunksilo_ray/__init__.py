@@ -6,10 +6,10 @@ pipeline library, re-targeted at knowledge-graph construction over multi-turn
 transcript Parquet tables:
 
     read_parquet(transcripts)
-      -> assemble ordered dialogues   (groupby(conv_id) + sort(turn_idx))
+      -> assemble ordered dialogues   (co-partitioned offsets by conv_id)
       -> sentence-window chunking     (stateless map_batches, Arrow)
-      -> embedding                    (actor pool, model in __init__)
-      -> mention detect + entity link (actor pool + broadcast alias index)
+      -> embedding                    (tasks; actor pool for a model backend)
+      -> mention detect + entity link (tasks + broadcast alias index)
       -> rule-based triple extraction (role/tool-aware predicates)
       -> MinHash-LSH canonicalization (band groupby + union-find)
       -> graph materialize            (groupby-aggregate -> nodes/edges Parquet)

@@ -35,11 +35,8 @@ DEFAULTS: dict[str, Any] = {
     },
     "linking": {
         "max_ngram": 3,  # longest alias n-gram matched during the scan
-        "concurrency": 0,  # 0 = size pool from cluster CPUs (util.pool_bounds)
-        "num_cpus": 1,
-        "mode": "auto",  # auto = stateless tasks + worker-global alias memo
         "batch_size": 2048,
-        # wall-clock budget per row in the extraction actor (reference
+        # wall-clock budget per row in the extraction task (reference
         # per_file_seconds, cfgload.py:74-80): over-budget rows dead-letter
         "per_row_seconds": 5.0,
     },

@@ -3,9 +3,9 @@
 This module is the shared *inner kernel* of the extraction spec documented in
 :mod:`chunksilo_ray.rules`. Both executors use it:
 
-- the Ray pipeline (chunksilo_ray.stages.link / .extract) calls it per row
-  inside actor-pool ``map_batches`` with the alias index broadcast once via
-  ``ray.put`` and materialized per actor in ``__init__``;
+- the Ray pipeline (chunksilo_ray.stages.link) calls it per row inside
+  stateless ``map_batches`` tasks with the alias index broadcast once via
+  ``ray.put`` and materialized once per worker process;
 - the single-process oracle (chunksilo_ray.oracle.extractor) calls it in a
   plain loop.
 

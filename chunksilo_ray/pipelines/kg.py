@@ -3,8 +3,8 @@
 End-to-end composition (SURVEY.md §3.4 lifecycle):
 
     read_parquet(transcripts)
-      -> assemble_dialogues    SHUFFLE #1 (lengths only, by conv_id)  [ckpt]
-      -> link_extract          tasks/actors + broadcast aliases       [ckpt]
+      -> assemble_dialogues    SHUFFLE #1 (light rows, by conv_id)    [ckpt]
+      -> link_extract          map tasks + broadcast aliases          [ckpt]
       -> build_canonical_map   SHUFFLE #2 (LSH bands) -> driver union-find,
                                saved next to the checkpoints
       -> materialize edges     shuffle-free, per turn                 [ckpt]

@@ -133,6 +133,16 @@ def append_kg(
             f"{info_path} missing — run build_kg with incremental.track=true first"
         )
     info = json.loads(info_path.read_text())
+    # the delta must be extracted and canonicalized with the base's settings,
+    # or the folded graph equals neither rebuild
+    for name in ("linking", "canon"):
+        built, now = info["sections"][name], cfg.section(name)
+        differ = sorted(k for k in built.keys() | now.keys() if built.get(k) != now.get(k))
+        if differ:
+            raise ValueError(
+                f"append config differs from the build's in section {name!r}, "
+                f"keys {differ}; append with the config the KG was built with"
+            )
     alias_path = alias_path or info["alias_path"]
 
     # ---- 1. membership check -------------------------------------------------

@@ -1,10 +1,10 @@
-"""Mention detection + entity linking + triple extraction (one actor stage).
+"""Mention detection + entity linking + triple extraction (one task stage).
 
 The KG analog of the reference's scoring stages: alias matching plays the
 role of BM25 filename match (reference src/chunksilo/index.py:1218-1265) and
 rerank scoring (search.py:1184-1248); the alias table is the broadcast
-small-side (``ray.put`` once on the driver, ``ray.get`` once per actor in
-``__init__`` — never re-shipped per batch).
+small-side (``ray.put`` once on the driver, fetched and indexed once per
+worker process — never re-shipped per batch).
 
 One stage computes BOTH nested outputs per turn —
 
@@ -20,7 +20,6 @@ row, so batch boundaries can never split a turn.
 from __future__ import annotations
 
 import pyarrow as pa
-import ray
 
 from ray.data import Dataset
 
@@ -44,9 +43,8 @@ def extract_batch(
     token_cache: dict[str, tuple[str, ...]],
     per_row_seconds: float,
 ) -> pa.Table:
-    """The per-batch extraction kernel, shared verbatim by the actor-pool and
-    stateless-task stage variants (so the two modes are output-identical by
-    construction — parity-tested in tests/test_round2.py)."""
+    """The per-batch extraction kernel of ``link_extract``: per-row mention
+    scan + triple rules, with a wall-clock budget per row."""
     import time
 
     roles = t.column("role").to_pylist()
@@ -106,25 +104,8 @@ def extract_batch(
     return out
 
 
-class LinkExtractActor:
-    """Actor-pool stage: per-turn mention scan + rule-based triple extraction.
-
-    ``alias_ref`` is an ``ray.ObjectRef`` to the alias Arrow table (broadcast
-    once); the token-tuple lookup dict is built once per actor.
-    """
-
-    def __init__(self, alias_ref, max_ngram: int = 3, per_row_seconds: float = 5.0):
-        alias_table = ray.get(alias_ref)
-        self.alias = AliasIndex.from_arrow(alias_table, max_ngram=max_ngram)
-        self.token_cache: dict[str, tuple[str, ...]] = {}  # actor-lifetime memo
-        self.per_row_seconds = per_row_seconds
-
-    def __call__(self, t: pa.Table) -> pa.Table:
-        return extract_batch(t, self.alias, self.token_cache, self.per_row_seconds)
-
-
-# worker-global state for the stateless-task stage variant: the alias index is
-# built ONCE per worker process (keyed by broadcast ref + build params) and the
+# worker-global state for the stateless-task stage: the alias index is built
+# ONCE per worker process (keyed by broadcast ref + build params) and the
 # token-tuple memo lives for the worker's lifetime — the task twin of doing the
 # work in an actor's __init__, minus the actor-process startup (tasks reuse
 # warm workers; a fresh actor pool pays a process spawn + import per actor on
@@ -151,55 +132,22 @@ def link_extract(
     alias_ref,
     max_ngram: int = 3,
     batch_size: int = 2048,
-    concurrency: int | tuple[int, int] = 4,
-    num_cpus: float = 1,
     per_row_seconds: float = 5.0,
-    mode: str = "auto",
 ) -> Dataset:
-    """Stage modes (identical output, same kernel):
+    """Stateless map tasks + worker-global alias-index memo. The alias index
+    is cheap to build (small broadcast table), so paying it once per warm
+    worker beats an actor-process spawn per pool slot per run, and the stage
+    scales to every free CPU instead of a fixed pool. Rows over
+    ``per_row_seconds`` are dead-lettered (see ``extract_batch``)."""
 
-    - ``tasks`` (the ``auto`` choice): stateless map tasks + worker-global
-      alias-index memo. The alias index is cheap to build (small broadcast
-      table), so paying it once per warm worker beats paying an actor-process
-      spawn per pool slot per run — and the stage instantly scales to every
-      free CPU instead of a fixed pool, which matters when it overlaps the
-      chunk/embed branch under backpressure.
-    - ``actors``: the classic actor pool — the right shape when per-worker
-      state is genuinely expensive (e.g. a real ONNX model in the linked
-      scorer); kept as the opt-in for such backends.
-    """
-    if mode == "auto":
-        mode = "tasks"
-    if mode == "tasks":
-        def _task(t: pa.Table) -> pa.Table:
-            alias = _worker_alias_index(alias_ref, max_ngram)
-            return extract_batch(t, alias, _WORKER_TOKENS, per_row_seconds)
+    def _task(t: pa.Table) -> pa.Table:
+        alias = _worker_alias_index(alias_ref, max_ngram)
+        return extract_batch(t, alias, _WORKER_TOKENS, per_row_seconds)
 
-        return turns.map_batches(
-            _task,
-            batch_format="pyarrow",
-            batch_size=batch_size,
-            zero_copy_batch=True,
-        )
-    # cluster-sized autoscaling pool: an int cap becomes (max//2, max) bounded
-    # by available CPUs — never reserves every CPU (deadlock on small
-    # sessions), never idles the cluster waiting on the autoscaler ramp.
-    # concurrency=0 (config default) means "size purely from the cluster".
-    if isinstance(concurrency, int):
-        from ..util import pool_bounds
-
-        concurrency = pool_bounds(concurrency if concurrency > 0 else None, num_cpus)
     return turns.map_batches(
-        LinkExtractActor,
-        fn_constructor_kwargs={
-            "alias_ref": alias_ref,
-            "max_ngram": max_ngram,
-            "per_row_seconds": per_row_seconds,
-        },
+        _task,
         batch_format="pyarrow",
         batch_size=batch_size,
-        concurrency=concurrency,
-        num_cpus=num_cpus,
         zero_copy_batch=True,
     )
 

@@ -31,25 +31,7 @@ import ray
 from ray.data import Dataset
 
 from .. import rules
-
-
-# worker-global cache: the canonical map is broadcast once via ray.put; each
-# (reused) task worker fetches + deserializes it once, then every task on
-# that worker hits the cache. Stateless tasks + warm workers beat an actor
-# pool here: the per-stage actor-process startup cost disappears and the
-# stage scales to every free CPU instantly.
-_CMAP_CACHE: dict[str, "dict[str, str]"] = {}
-
-
-def _cached_cmap(cmap_ref) -> dict[str, str]:
-    key = cmap_ref.hex()
-    got = _CMAP_CACHE.get(key)
-    if got is None:
-        if len(_CMAP_CACHE) > 4:
-            _CMAP_CACHE.clear()
-        got = ray.get(cmap_ref)
-        _CMAP_CACHE[key] = got
-    return got
+from ..util import cached_get
 
 
 def _canonicalizer(cmap: dict[str, str]):
@@ -93,7 +75,7 @@ def _edge_builder(cmap_ref):
         # cmap_ref=None -> identity explode (raw surface: ids kept) for the
         # over-budget regime, where canonicalization happens in a later
         # distributed shuffle apply
-        canon = None if cmap_ref is None else _canonicalizer(_cached_cmap(cmap_ref))
+        canon = None if cmap_ref is None else _canonicalizer(cached_get(cmap_ref))
         lst = t.column("triples")
         if isinstance(lst, pa.ChunkedArray):
             lst = lst.combine_chunks()
@@ -237,7 +219,7 @@ def _node_partial(cmap_ref):
     keys per batch — the partial/combiner pattern."""
 
     def node_partial(t: pa.Table) -> pa.Table:
-        canon = None if cmap_ref is None else _canonicalizer(_cached_cmap(cmap_ref))
+        canon = None if cmap_ref is None else _canonicalizer(cached_get(cmap_ref))
         lst = t.column("mentions")
         if isinstance(lst, pa.ChunkedArray):
             lst = lst.combine_chunks()
@@ -447,7 +429,7 @@ def remap_canonical_ids(ds: Dataset, remap: dict[str, str], columns: list[str]) 
     remap_ref = ray.put(dict(remap))
 
     def fn(t: pa.Table) -> pa.Table:
-        m = _cached_cmap(remap_ref)
+        m = cached_get(remap_ref)
 
         def rewrite(v: str) -> str:
             if v.startswith(cp):

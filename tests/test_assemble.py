@@ -1,6 +1,6 @@
 """Dialogue-assembly invariants (north rule: per-turn text equality under
 stable turn ordering) + giant-conversation and block-boundary offsets,
-checked on both assembly paths against a single-process reference."""
+checked against a single-process reference."""
 
 import numpy as np
 import pyarrow as pa
@@ -70,9 +70,8 @@ def test_salting_stitches_giant_conversation():
             "ts": pa.array(np.arange(n)[perm], pa.timestamp("us")),
         }
     )
-    # broadcast_limit=0 selects the co-partitioned attach: the whole giant
-    # conversation lands in one reduce partition as light rows
-    out = assemble_dialogues(rd.from_arrow(t), broadcast_limit=0).take_all()
+    # the whole giant conversation lands in one reduce partition as light rows
+    out = assemble_dialogues(rd.from_arrow(t)).take_all()
     assert len(out) == n
     assert all(r["conv_n_turns"] == n for r in out)
     ref = _reference_offsets(
@@ -84,8 +83,7 @@ def test_salting_stitches_giant_conversation():
 
 
 def test_assembly_paths_match_reference():
-    """Both assembly paths — lengths broadcast (default) and co-partitioned
-    attach (over budget) — on a shuffled, multi-block corpus: every turn of
+    """Co-partitioned attach on a shuffled, multi-block corpus: every turn of
     EVERY conversation keeps its text and gets the conv_n_turns and
     doc_char_start of the single-process reference."""
     src = datagen.generate_transcripts(2000, seed=9)
@@ -98,25 +96,23 @@ def test_assembly_paths_match_reference():
             src.column("text").to_pylist(),
         )
     }
-    for path in ("broadcast", "copartition"):
-        out = assemble_dialogues(ds, path=path).take_all()
-        assert len(out) == src.num_rows, path
-        by_conv: dict[str, list] = {}
-        for r in out:
-            assert r["text"] == expected_text[(r["conv_id"], r["turn_idx"])], path
-            by_conv.setdefault(r["conv_id"], []).append(r)
-        for conv_id, rows in by_conv.items():
-            ref = _reference_offsets(rows)
-            for r in rows:
-                assert r["conv_n_turns"] == len(rows), (path, conv_id)
-                assert r["doc_char_start"] == ref[r["turn_idx"]], (path, conv_id)
+    out = assemble_dialogues(ds).take_all()
+    assert len(out) == src.num_rows
+    by_conv: dict[str, list] = {}
+    for r in out:
+        assert r["text"] == expected_text[(r["conv_id"], r["turn_idx"])]
+        by_conv.setdefault(r["conv_id"], []).append(r)
+    for conv_id, rows in by_conv.items():
+        ref = _reference_offsets(rows)
+        for r in rows:
+            assert r["conv_n_turns"] == len(rows), conv_id
+            assert r["doc_char_start"] == ref[r["turn_idx"]], conv_id
 
 
 def test_sparse_turn_idx_offsets():
     """Sparse, gappy turn_idx values: assembly must compute exact per-turn
     char offsets and conv_n_turns from turn_idx ordering, not from index
-    contiguity. Runs the default (broadcast) path; block-boundary coverage
-    for the co-partitioned path lives in
+    contiguity. Block-boundary coverage lives in
     test_fragment_stitching_under_tiny_blocks."""
     idxs = [0, 3, 7, 200, 201, 450]
     t = pa.table(
@@ -142,8 +138,8 @@ def test_sparse_turn_idx_offsets():
 def test_fragment_stitching_under_tiny_blocks():
     """Force MANY block-boundary fragments (tiny target block size + random
     conversation lengths): every turn's doc_char_start and conv_n_turns must
-    equal the single-process reference, for every conversation — on the
-    co-partitioned path, whose offsets route back across many blocks."""
+    equal the single-process reference, for every conversation — offsets
+    route back across many blocks."""
     rng = np.random.default_rng(7)
     rows = []
     for c in range(40):
@@ -165,7 +161,7 @@ def test_fragment_stitching_under_tiny_blocks():
     old = ctx.target_max_block_size
     ctx.target_max_block_size = 8 * 1024  # ~tens of rows per block
     try:
-        out = assemble_dialogues(rd.from_arrow(t), broadcast_limit=0).take_all()
+        out = assemble_dialogues(rd.from_arrow(t)).take_all()
     finally:
         ctx.target_max_block_size = old
 
@@ -181,10 +177,10 @@ def test_fragment_stitching_under_tiny_blocks():
             assert r["doc_char_start"] == ref[r["turn_idx"]], (conv_id, r["turn_idx"])
 
 
-def test_broadcast_attach_boundary_keys():
-    """Compound-key attach edge cases: conv ids that are prefixes of each
-    other and turn_idx values up to int32 max must resolve exactly (the
-    key packs conv code << 32 | turn — the full int32 range must survive)."""
+def test_attach_boundary_keys():
+    """Attach edge cases: conv ids that are prefixes of each other and
+    turn_idx values up to int32 max must get exact offsets (the full int32
+    turn range must survive the exchange and the per-conv ordering)."""
     big = 2**31 - 1
     rows = []
     for conv in ["c", "c1", "c11"]:
@@ -200,14 +196,10 @@ def test_broadcast_attach_boundary_keys():
             "ts": pa.array([0] * len(rows), pa.int64()),
         }
     )
-    ds = rd.from_arrow(t)
-    out = assemble_dialogues(ds).take_all()          # broadcast path
-    ref = assemble_dialogues(ds, broadcast_limit=0).take_all()  # co-partition
-    key = lambda r: (r["conv_id"], r["turn_idx"])  # noqa: E731
-    a = {key(r): (r["doc_char_start"], r["conv_n_turns"]) for r in out}
-    b = {key(r): (r["doc_char_start"], r["conv_n_turns"]) for r in ref}
-    assert a == b and len(a) == len(rows)
-    # per-conv offsets agree with the single-process reference
+    out = assemble_dialogues(rd.from_arrow(t)).take_all()
+    assert sorted((r["conv_id"], r["turn_idx"]) for r in out) == sorted(
+        (r[0], r[1]) for r in rows
+    )
     for conv in ["c", "c1", "c11"]:
         sub = [r for r in rows if r[0] == conv]
         exp = _reference_offsets(
@@ -215,4 +207,5 @@ def test_broadcast_attach_boundary_keys():
         )
         for r in out:
             if r["conv_id"] == conv:
+                assert r["conv_n_turns"] == len(sub)
                 assert r["doc_char_start"] == exp[r["turn_idx"]]

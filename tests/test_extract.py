@@ -201,32 +201,6 @@ def test_pipeline_weights_and_nodes_vs_oracle(smoke_corpus, tmp_out):
 
 
 @pytest.mark.usefixtures("ray_session")
-def test_link_extract_task_mode_matches_actor_mode(smoke_corpus):
-    """The stateless-task stage variant (mode='tasks', the auto default) and
-    the actor-pool variant share one kernel (stages/link.py::extract_batch) —
-    their outputs must be row-for-row identical."""
-    import pyarrow.parquet as pq
-    import ray
-    import ray.data as rd
-
-    from chunksilo_ray.stages.link import link_extract
-
-    t = pq.read_table(f"{smoke_corpus}/transcripts.parquet").slice(0, 200)
-    alias_ref = ray.put(pq.read_table(f"{smoke_corpus}/alias_index.parquet"))
-
-    def _rows(mode):
-        rows = link_extract(rd.from_arrow(t), alias_ref, mode=mode).take_all()
-        return sorted(
-            (
-                (r["conv_id"], r["turn_idx"], str(r["mentions"]), str(r["triples"]), r["error"])
-                for r in rows
-            )
-        )
-
-    assert _rows("tasks") == _rows("actors")
-
-
-@pytest.mark.usefixtures("ray_session")
 def test_embed_task_mode_matches_actor_mode(smoke_corpus):
     """Same parity contract for the embedding stage's bow backend."""
     import pyarrow as pa

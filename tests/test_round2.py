@@ -308,12 +308,10 @@ def test_canon_distributed_path_equals_driver_path():
 
 
 # ---------------------------------------------------------------------------
-# per-row wall-clock budget in the extraction actor
+# per-row wall-clock budget in the extraction kernel
 
 
-def test_link_actor_time_budget_dead_letters_slow_row(monkeypatch):
-    import ray
-
+def test_link_time_budget_dead_letters_slow_row(monkeypatch):
     from chunksilo_ray import datagen
     from chunksilo_ray.stages import link as link_mod
     from chunksilo_ray import extraction_core
@@ -325,12 +323,11 @@ def test_link_actor_time_budget_dead_letters_slow_row(monkeypatch):
             time.sleep(0.25)
         return real_scan(text, alias, cache)
 
-    # patch the name the actor module resolves at call time (local __call__,
-    # no remote actor involved — the guard logic itself is under test)
+    # patch the name the link module resolves at call time (local kernel
+    # call, no remote task involved — the guard logic itself is under test)
     monkeypatch.setattr(link_mod, "scan_mentions", slow_scan)
 
-    alias_ref = ray.put(datagen.alias_table())
-    actor = link_mod.LinkExtractActor(alias_ref, per_row_seconds=0.1)
+    alias = extraction_core.AliasIndex.from_arrow(datagen.alias_table(), max_ngram=3)
     t = pa.table(
         {
             "conv_id": pa.array(["c1", "c1"], pa.string()),
@@ -343,7 +340,7 @@ def test_link_actor_time_budget_dead_letters_slow_row(monkeypatch):
             ),
         }
     )
-    out = actor(t)
+    out = link_mod.extract_batch(t, alias, {}, per_row_seconds=0.1)
     errs = out["error"].to_pylist()
     assert errs[0] is None
     assert errs[1] is not None and "TimeBudgetExceeded" in errs[1]

@@ -1,6 +1,6 @@
-"""Round-5 additions: co-partitioned assembly attach (the over-budget path
-that never moves text NOR holds an O(#turns) per-worker index) — parity
-vs the broadcast path, plus block-spanning and degenerate shapes."""
+"""Round-5 additions: co-partitioned assembly attach (never moves text NOR
+holds an O(#turns) per-worker index) — block-spanning and degenerate shapes
+checked against the single-process reference."""
 
 import numpy as np
 import pyarrow as pa
@@ -10,29 +10,9 @@ import ray.data as rd
 
 from chunksilo_ray import datagen
 from chunksilo_ray.stages.assemble import assemble_dialogues
+from test_assemble import _reference_offsets
 
 pytestmark = pytest.mark.usefixtures("ray_session")
-
-
-def _keyed(rows):
-    return {
-        (r["conv_id"], r["turn_idx"]): (
-            r["conv_n_turns"],
-            r["doc_char_start"],
-            r["text"],
-            r["role"],
-        )
-        for r in rows
-    }
-
-
-def test_copartition_three_way_parity():
-    src = datagen.generate_transcripts(1200, seed=5)
-    ds = rd.from_arrow(src).repartition(9)
-    bc = _keyed(assemble_dialogues(ds, path="broadcast").take_all())
-    cp = _keyed(assemble_dialogues(ds, path="copartition").take_all())
-    assert bc == cp
-    assert len(cp) == src.num_rows
 
 
 def test_copartition_giant_conversation_spans_blocks():
@@ -57,7 +37,7 @@ def test_copartition_giant_conversation_spans_blocks():
         }
     )
     ds = rd.from_arrow(tbl).repartition(12)
-    out = assemble_dialogues(ds, path="copartition").take_all()
+    out = assemble_dialogues(ds).take_all()
     giant = sorted((r for r in out if r["conv_id"] == "giant"), key=lambda r: r["turn_idx"])
     assert all(r["conv_n_turns"] == 600 for r in giant)
     acc = 0
@@ -68,23 +48,19 @@ def test_copartition_giant_conversation_spans_blocks():
 
 def test_copartition_single_block_and_empty():
     src = datagen.generate_transcripts(40, seed=3)
-    one = rd.from_arrow(src).repartition(1)
-    got = _keyed(assemble_dialogues(one, path="copartition").take_all())
-    ref = _keyed(assemble_dialogues(one, path="broadcast").take_all())
-    assert got == ref
+    out = assemble_dialogues(rd.from_arrow(src).repartition(1)).take_all()
+    assert len(out) == src.num_rows
+    by_conv: dict[str, list] = {}
+    for r in out:
+        by_conv.setdefault(r["conv_id"], []).append(r)
+    for rows in by_conv.values():
+        ref = _reference_offsets(rows)
+        for r in rows:
+            assert r["conv_n_turns"] == len(rows)
+            assert r["doc_char_start"] == ref[r["turn_idx"]]
 
     empty = rd.from_arrow(src.slice(0, 0))
-    out = assemble_dialogues(empty, path="copartition").take_all()
-    assert out == []
-
-
-def test_auto_selection_over_budget_uses_copartition():
-    # broadcast_limit=0 -> over budget -> co-partition (not the text sort)
-    src = datagen.generate_transcripts(300, seed=9)
-    ds = rd.from_arrow(src).repartition(4)
-    out = _keyed(assemble_dialogues(ds, broadcast_limit=0).take_all())
-    ref = _keyed(assemble_dialogues(ds, path="broadcast").take_all())
-    assert out == ref
+    assert assemble_dialogues(empty).take_all() == []
 
 
 # ---------------------------------------------------------------------------

@@ -59,7 +59,30 @@ def split_corpus(tmp_path_factory):
     return root
 
 
-def test_append_equals_rebuild(split_corpus, tmp_path):
+@pytest.fixture(scope="module")
+def rebuild(split_corpus, ray_session, tmp_path_factory):
+    """The one-shot build over day 1 + day 2's new conversations that every
+    append must equal: (out dir, build_kg result)."""
+    from chunksilo_ray.pipelines.kg import build_kg
+
+    out = str(tmp_path_factory.mktemp("rebuild"))
+    alias = str(split_corpus / "alias_index.parquet")
+    return out, build_kg(str(split_corpus / "merged"), alias, out, with_chunks=False)
+
+
+def _assert_equals_rebuild(res, full):
+    _assert_tables_equal(
+        res["edges_agg"], full["edges_agg"], ["subj", "pred", "obj"]
+    )
+    _assert_tables_equal(
+        res["nodes"], full["nodes"], ["entity_id", "surface", "type"]
+    )
+    _assert_tables_equal(
+        res["edges"], full["edges"], ["conv_id", "turn_idx", "subj", "pred", "obj"]
+    )
+
+
+def test_append_equals_rebuild(split_corpus, rebuild, tmp_path):
     from chunksilo_ray.pipelines.kg import build_kg
     from chunksilo_ray.pipelines.kg_append import append_kg
     from chunksilo_ray.stages.canon import load_canonical_map
@@ -74,18 +97,8 @@ def test_append_equals_rebuild(split_corpus, tmp_path):
     # the fold grew the graph
     assert res2["metrics"]["edges"] > res1["metrics"]["edges"]
 
-    full_out = str(tmp_path / "rebuild")
-    full = build_kg(str(split_corpus / "merged"), alias, full_out, with_chunks=False)
-
-    _assert_tables_equal(
-        res2["edges_agg"], full["edges_agg"], ["subj", "pred", "obj"]
-    )
-    _assert_tables_equal(
-        res2["nodes"], full["nodes"], ["entity_id", "surface", "type"]
-    )
-    _assert_tables_equal(
-        res2["edges"], full["edges"], ["conv_id", "turn_idx", "subj", "pred", "obj"]
-    )
+    full_out, full = rebuild
+    _assert_equals_rebuild(res2, full)
 
     # state advanced: the manifest now covers both days; build_info records it
     state = pathlib.Path(inc_out) / "state"
@@ -100,6 +113,49 @@ def test_append_equals_rebuild(split_corpus, tmp_path):
     cm_inc = load_canonical_map(inc_out, info["cmap_fp"])
     cm_full = load_canonical_map(full_out, full_info["cmap_fp"])
     assert cm_inc is not None and cm_inc == cm_full
+
+
+def test_append_with_a_file_of_only_redelivered_conversations(split_corpus, rebuild, tmp_path):
+    """The re-delivered conversations arrive in their own day-2 file, so the
+    membership filter empties whole blocks; the append must still fold the
+    new file and equal the rebuild."""
+    from chunksilo_ray.pipelines.kg import build_kg
+    from chunksilo_ray.pipelines.kg_append import append_kg
+
+    day2 = pq.read_table(split_corpus / "day2.parquet")
+    is_new = pa.compute.starts_with(day2["conv_id"], "day2-")
+    (tmp_path / "day2").mkdir()
+    pq.write_table(day2.filter(is_new), tmp_path / "day2" / "a-new.parquet")
+    pq.write_table(day2.filter(pa.compute.invert(is_new)), tmp_path / "day2" / "b-redelivered.parquet")
+
+    alias = str(split_corpus / "alias_index.parquet")
+    out = str(tmp_path / "kg")
+    build_kg(str(split_corpus / "day1.parquet"), alias, out, with_chunks=False)
+    res = append_kg(out, str(tmp_path / "day2"))
+    assert res["metrics"]["skipped_existing_convs"] == 5
+    _assert_equals_rebuild(res, rebuild[1])
+
+
+def test_append_refuses_a_config_that_differs_from_the_build(split_corpus, tmp_path):
+    """An append extracted or canonicalized with settings the base never
+    used would equal neither rebuild: it is refused before any write."""
+    from chunksilo_ray.config import Config
+    from chunksilo_ray.pipelines.kg import build_kg
+    from chunksilo_ray.pipelines.kg_append import append_kg
+
+    alias = str(split_corpus / "alias_index.parquet")
+    out = pathlib.Path(tmp_path / "kg")
+    build_kg(str(split_corpus / "day1.parquet"), alias, str(out), with_chunks=False)
+    info_path = out / "state" / "build_info.json"
+    before = info_path.read_bytes()
+    with pytest.raises(ValueError, match=r"'linking'.*max_ngram"):
+        append_kg(str(out), str(split_corpus / "day2.parquet"),
+                  cfg=Config({"linking": {"max_ngram": 2}}))
+    with pytest.raises(ValueError, match=r"'canon'.*jaccard_threshold"):
+        append_kg(str(out), str(split_corpus / "day2.parquet"),
+                  cfg=Config({"canon": {"jaccard_threshold": 0.5}}))
+    assert info_path.read_bytes() == before
+    assert not (out / "append").exists()
 
 
 def test_append_idempotent(split_corpus, tmp_path):
