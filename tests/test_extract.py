@@ -201,6 +201,32 @@ def test_pipeline_weights_and_nodes_vs_oracle(smoke_corpus, tmp_out):
 
 
 @pytest.mark.usefixtures("ray_session")
+def test_link_extract_matches_serial_kernel(smoke_corpus):
+    """The distributed stage over many blocks and small batches equals one
+    in-process ``extract_batch`` call over the whole table: the worker-global
+    alias index and token memo change no row."""
+    import ray
+    import ray.data as rd
+
+    from chunksilo_ray.stages.link import extract_batch, link_extract
+
+    t = pq.read_table(f"{smoke_corpus}/transcripts.parquet").slice(0, 200)
+    alias = pq.read_table(f"{smoke_corpus}/alias_index.parquet")
+
+    def _key(rows):
+        return sorted(
+            (r["conv_id"], r["turn_idx"], str(r["mentions"]), str(r["triples"]), r["error"])
+            for r in rows
+        )
+
+    got = link_extract(rd.from_arrow(t).repartition(7), ray.put(alias), batch_size=16).take_all()
+    want = extract_batch(t, AliasIndex.from_arrow(alias, max_ngram=3), {}, 5.0).to_pylist()
+    assert len(got) == t.num_rows
+    assert any(r["triples"] for r in want)
+    assert _key(got) == _key(want)
+
+
+@pytest.mark.usefixtures("ray_session")
 def test_embed_task_mode_matches_actor_mode(smoke_corpus):
     """Same parity contract for the embedding stage's bow backend."""
     import pyarrow as pa

@@ -46,6 +46,29 @@ def test_copartition_giant_conversation_spans_blocks():
         acc += len(r["role"]) + 2 + len(r["text"]) + 1
 
 
+def test_assembly_is_independent_of_block_layout():
+    # offsets are routed back to each row's source block, so the same turns
+    # read as one, nine or forty blocks must assemble to identical rows
+    src = datagen.generate_transcripts(1200, seed=5)
+
+    def _keyed(n):
+        rows = assemble_dialogues(rd.from_arrow(src).repartition(n)).take_all()
+        return {
+            (r["conv_id"], r["turn_idx"]): (
+                r["conv_n_turns"],
+                r["doc_char_start"],
+                r["text"],
+                r["role"],
+            )
+            for r in rows
+        }
+
+    one = _keyed(1)
+    assert len(one) == src.num_rows
+    assert _keyed(9) == one
+    assert _keyed(40) == one
+
+
 def test_copartition_single_block_and_empty():
     src = datagen.generate_transcripts(40, seed=3)
     out = assemble_dialogues(rd.from_arrow(src).repartition(1)).take_all()
