@@ -51,14 +51,11 @@ DEFAULTS: dict[str, Any] = {
     },
     "incremental": {
         # persist out/state/ (conv-id manifest, distinct norms, build info)
-        # during build so `append_kg` can fold new conversations in later;
-        # the extra cost is piggybacked on the existing extracted scan plus
-        # two small driver-side parquet writes
+        # during build so `append_kg` can fold new conversations in later.
+        # The conv ids come from the build's extracted scan, plus two small
+        # driver-side parquet writes; a no-op resume reuses the scan's
+        # recorded result and rewrites none of it
         "track": True,
-        # driver-side cap on exported dead-letter ROWS (the count stays
-        # exact); pathological corpora should switch to a distributed
-        # filter+write
-        "dead_letter_cap": 1_000_000,
     },
     "runtime": {
         "target_max_block_size": None,  # bytes; None = Ray default (128 MiB)

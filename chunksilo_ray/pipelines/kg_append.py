@@ -66,7 +66,7 @@ from ..state.manifest import (
     fingerprint,
     input_fingerprint,
 )
-from .kg import scan_extracted_stats, write_ingest_state
+from .kg import scan_extracted_stats, void_scan_record, write_ingest_state
 
 __all__ = ["append_kg", "CanonicalDriftError"]
 
@@ -174,8 +174,7 @@ def append_kg(
     extracted = ext_ckpt.run(
         lambda: link_extract(assembled, ray.put(alias_table), **link_cfg)
     )
-    stats = scan_extracted_stats(extracted, collect_convs=True,
-                                 dead_cap=int(cfg.get("incremental.dead_letter_cap") or 1_000_000))()
+    stats = scan_extracted_stats(extracted, collect_convs=True)()
 
     # ---- 3. canonical map extension + drift remap ----------------------------
     canon_cfg = cfg.section("canon")
@@ -193,6 +192,9 @@ def append_kg(
     remap = canonical_remap(old_map, new_map, old_norms)
 
     # ---- 4. fold -------------------------------------------------------------
+    # from here on the graph and the ingest state no longer match what
+    # build_kg's scan record describes: a rerun of the build must rescan
+    void_scan_record(out)
     new_cmap_fp = fingerprint(info["cmap_fp"], batch_fp, sorted(canon_cfg.items()))
     # consumed twice each (edge fold + agg merge / node merge): pin once
     delta_edges = materialize_edges(extracted, new_map).materialize()
@@ -225,7 +227,7 @@ def append_kg(
     nodes_ckpt.run(lambda: merge_nodes_agg(base_nodes, delta_nodes))
 
     # ---- 5. state update (same shape build_kg wrote) --------------------------
-    write_ingest_state(out, f"append-{batch_fp[:8]}", stats, union_norms)
+    write_ingest_state(out, f"append-{batch_fp[:8]}", stats, extracted, union_norms)
     save_canonical_map(out, new_map, new_cmap_fp)
     info["cmap_fp"] = new_cmap_fp
     info["edges_fp"] = edges_fp

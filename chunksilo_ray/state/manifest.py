@@ -5,8 +5,8 @@ src/chunksilo/index.py:295-406 SQLite IngestionState + index.py:1664-1676
 count/time checkpoints): instead of a central DB, every materialized stage
 writes its Parquet parts to a temp dir, renames atomically, and records a
 JSON manifest carrying a lineage fingerprint (hash of the stage's inputs +
-parameters), per-part row counts, and stage metrics (e.g. emitted-triple
-counters). A rerun with the same fingerprint skips the stage and re-reads
+parameters), per-part row counts, and stage metrics (e.g. the build's
+record of its extracted scan). A rerun with the same fingerprint skips the stage and re-reads
 the checkpoint (``read_parquet``) — a killed job resumes without
 recomputation, stage by stage; a changed input invalidates exactly the
 stages whose fingerprints change (analog of the reference's mtime+hash
@@ -198,6 +198,11 @@ class StageCheckpoint:
         return ds
 
     def record_metrics(self, extra: dict) -> None:
+        """Merge ``extra`` into the manifest's metrics. The manifest is
+        replaced atomically: a kill mid-write must not leave a finished
+        stage unreadable."""
         m = self.manifest() or {}
         m.setdefault("metrics", {}).update(extra)
-        self.manifest_path.write_text(json.dumps(m, indent=1))
+        tmp = self.manifest_path.with_name(MANIFEST_NAME + ".tmp")
+        tmp.write_text(json.dumps(m, indent=1))
+        os.replace(tmp, self.manifest_path)

@@ -3,6 +3,7 @@ test_incremental_ingest.py layer, SURVEY.md §5.3)."""
 
 import json
 import pathlib
+import shutil
 
 import pytest
 
@@ -39,6 +40,103 @@ def test_outputs_and_schemas(smoke_corpus, tmp_out):
     for b in edges.iter_batches(batch_format="pyarrow"):
         for col in ("subj", "obj"):
             assert not any(v.startswith("surface:") for v in b[col].to_pylist())
+
+
+def _count_executions(fn):
+    """(fn(), the number of Ray Data executions it started)."""
+    from ray.data._internal.execution.streaming_executor import StreamingExecutor
+
+    execute = StreamingExecutor.execute
+    started = []
+
+    def counted(executor, *args, **kwargs):
+        started.append(1)
+        return execute(executor, *args, **kwargs)
+
+    StreamingExecutor.execute = counted
+    try:
+        return fn(), len(started)
+    finally:
+        StreamingExecutor.execute = execute
+
+
+def _assert_same_rows(a, b):
+    import pandas as pd
+
+    da, db = a.to_pandas(), b.to_pandas()
+    cols = sorted(da.columns)
+    assert cols == sorted(db.columns)
+    pd.testing.assert_frame_equal(
+        da[cols].sort_values(cols).reset_index(drop=True),
+        db[cols].sort_values(cols).reset_index(drop=True),
+    )
+
+
+@pytest.mark.parametrize(
+    "with_chunks,linking",
+    [(True, {}), (False, {}), (False, {"per_row_seconds": 0.0})],
+    ids=["chunks", "no_chunks", "poison"],
+)
+def test_noop_resume_starts_no_execution(smoke_corpus, tmp_out, with_chunks, linking):
+    """A build over a complete out dir reuses the recorded extracted scan
+    and opens only the checkpoints it returns: no Ray Data execution, and
+    the same metrics and tables as the build that wrote them."""
+    from chunksilo_ray.config import Config
+
+    cfg = Config({"linking": linking})
+    first = _run(smoke_corpus, tmp_out, cfg=cfg, with_chunks=with_chunks)
+    again, started = _count_executions(
+        lambda: _run(smoke_corpus, tmp_out, cfg=cfg, with_chunks=with_chunks)
+    )
+    assert started == 0
+    assert again["metrics"] == first["metrics"]
+    for name in ("edges", "edges_agg", "nodes"):
+        _assert_same_rows(again[name], first[name])
+
+
+STATE_FILES = ("state/conv_ids/part-build.parquet", "state/distinct_norms.parquet",
+               "state/build_info.json")
+
+
+@pytest.mark.parametrize("change", ["state_deleted", "tracking_turned_on", "state_write_killed"])
+def test_resume_rescans_when_the_state_is_not_the_builds(
+    smoke_corpus, tmp_path, monkeypatch, change
+):
+    """A resume whose ingest state is missing or unfinished rescans the
+    extracted table once and writes the state a tracked build writes."""
+    from chunksilo_ray.config import Config
+    from chunksilo_ray.pipelines import kg
+    from chunksilo_ray.state.manifest import StageCheckpoint
+
+    ref, out = tmp_path / "ref", tmp_path / "kg"
+    _run(smoke_corpus, str(ref), with_chunks=False)
+    if change == "tracking_turned_on":
+        _run(smoke_corpus, str(out), cfg=Config({"incremental": {"track": False}}),
+             with_chunks=False)
+        assert not (out / "state").exists()
+    else:
+        _run(smoke_corpus, str(out), with_chunks=False)
+        assert _count_executions(lambda: _run(smoke_corpus, str(out), with_chunks=False))[1] == 0
+        shutil.rmtree(out / "state")
+    if change == "state_write_killed":
+        # the state is written in full, then the run dies before it records
+        # the scan: the record of the earlier build must not vouch for it
+        record = StageCheckpoint.record_metrics
+
+        def die_at_record(ckpt, extra):
+            if extra.get(kg.SCAN_RECORD):
+                raise KeyboardInterrupt
+            record(ckpt, extra)
+
+        monkeypatch.setattr(StageCheckpoint, "record_metrics", die_at_record)
+        with pytest.raises(KeyboardInterrupt):
+            _run(smoke_corpus, str(out), with_chunks=False)
+        monkeypatch.undo()
+
+    assert _count_executions(lambda: _run(smoke_corpus, str(out), with_chunks=False))[1] == 1
+    for f in STATE_FILES:
+        assert (out / f).read_bytes() == (ref / f).read_bytes(), f
+    assert _count_executions(lambda: _run(smoke_corpus, str(out), with_chunks=False))[1] == 0
 
 
 def test_resume_skips_completed_stages(smoke_corpus, tmp_out):

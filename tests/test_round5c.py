@@ -136,6 +136,40 @@ def test_append_with_a_file_of_only_redelivered_conversations(split_corpus, rebu
     _assert_equals_rebuild(res, rebuild[1])
 
 
+@pytest.mark.parametrize("append_killed", [False, True], ids=["appended", "append_killed"])
+def test_rebuild_over_an_appended_dir_replaces_the_append_state(
+    split_corpus, rebuild, tmp_path, monkeypatch, append_killed
+):
+    """Re-running the build over an appended out dir rebuilds the graph of
+    day 1 alone, so it must also drop the append's conv ids, also those of
+    an append killed after its state write: appending day 2 again then
+    folds every new day-2 conversation."""
+    from chunksilo_ray.pipelines import kg_append
+    from chunksilo_ray.pipelines.kg import build_kg
+
+    alias = str(split_corpus / "alias_index.parquet")
+    day1, day2 = str(split_corpus / "day1.parquet"), str(split_corpus / "day2.parquet")
+    out = str(tmp_path / "kg")
+    built = build_kg(day1, alias, out, with_chunks=False)
+    if append_killed:
+        def die(*args, **kwargs):
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr(kg_append, "save_canonical_map", die)
+        with pytest.raises(KeyboardInterrupt):
+            kg_append.append_kg(out, day2)
+        monkeypatch.undo()
+    else:
+        kg_append.append_kg(out, day2)
+    again = build_kg(day1, alias, out, with_chunks=False)
+    assert again["metrics"] == built["metrics"]
+    res = kg_append.append_kg(out, day2)
+    day2_convs = set(pq.read_table(day2, columns=["conv_id"])["conv_id"].to_pylist())
+    assert res["metrics"]["new_convs"] == sum(c.startswith("day2-") for c in day2_convs)
+    assert res["metrics"]["skipped_existing_convs"] == 5
+    _assert_equals_rebuild(res, rebuild[1])
+
+
 def test_append_refuses_a_config_that_differs_from_the_build(split_corpus, tmp_path):
     """An append extracted or canonicalized with settings the base never
     used would equal neither rebuild: it is refused before any write."""
