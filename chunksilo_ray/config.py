@@ -47,7 +47,7 @@ DEFAULTS: dict[str, Any] = {
         "jaccard_threshold": 0.6,
         "cosine_threshold": 0.90,  # secondary verify on BoW embeddings
         "max_group": 256,  # cap pairs per LSH bucket (skew guard)
-        "max_pairs": 2_000_000,  # driver union-find edge-list cap
+        "max_pairs": 2_000_000,  # driver union-find edge-list cap (the build raises past it)
     },
     "incremental": {
         # persist out/state/ (conv-id manifest, distinct norms, build info)

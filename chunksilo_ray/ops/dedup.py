@@ -38,7 +38,7 @@ import pyarrow.compute as pc
 import ray.data as rd
 from ray.data import Dataset
 
-from ..util import map_partitions
+from ..exchange import map_partitions, part_ids
 
 from ..stages.canon import _hash_params, _minhash_sig_exact
 
@@ -85,15 +85,13 @@ def exact_dedup_docs(sf_dir: str) -> Dataset:
         hashes = [hashlib.md5(x.encode("utf-8")).hexdigest() for x in t["text"].to_pylist()]
         return t.append_column("text_hash", pa.array(hashes, pa.string()))
 
-    from ..stages.materialize import _string_key_part
-
     def partial_min(t: pa.Table) -> pa.Table:
         # per-batch combine, then ONE coarse int-key exchange + in-partition
         # hash aggregate (groupby(text_hash).map_groups paid one Python call
         # per distinct text — 50k calls at sf0.1)
         g = t.group_by("text_hash", use_threads=False).aggregate([("doc_id", "min")])
         g = g.rename_columns(["text_hash", "doc_id"])
-        return g.append_column("__part", _string_key_part(g, ["text_hash"]))
+        return g.append_column("__part", part_ids(g, ["text_hash"]))
 
     def final_min(t: pa.Table) -> pa.Table:
         g = t.group_by("text_hash", use_threads=False).aggregate([("doc_id", "min")])
@@ -204,19 +202,10 @@ def _shingle_sig_fn(num_perm: int, bands: int, shingle_k: int):
 # UDF segments them vectorized (np.argsort + boundary detection). ~64 calls
 # instead of ~100k, identical semantics.
 
-_COARSE_PARTS = 64
-
 # candidate-pair count up to which the candidate DOC-ID set (ints) may be
 # collected to the driver and broadcast as a sketch filter; past this the
 # attach exchange falls back to shipping all sketches (no driver set)
 _CAND_BROADCAST_LIMIT = 5_000_000
-
-
-def _coarse_parts(keys: np.ndarray, parts: int = _COARSE_PARTS) -> np.ndarray:
-    """Deterministic multiplicative hash partition of an int64 key column."""
-    return ((keys.astype(np.uint64) * np.uint64(0x9E3779B97F4A7C15)) >> np.uint64(40)).astype(
-        np.int64
-    ) % parts
 
 
 def _segments(sorted_keys: np.ndarray):
@@ -270,7 +259,7 @@ def _add_pair_part(t: pa.Table) -> pa.Table:
     a = t["a"].to_numpy(zero_copy_only=False)
     b = t["b"].to_numpy(zero_copy_only=False)
     key = a.astype(np.uint64) * np.uint64(0x100000001B3) + b.astype(np.uint64)
-    return t.append_column("__part", pa.array(_coarse_parts(key.astype(np.int64))))
+    return t.append_column("__part", part_ids(key))
 
 
 def _dedup_pairs_part(t: pa.Table) -> pa.Table:
@@ -321,7 +310,7 @@ def _verified_edges(
         flat = keys.flatten().to_numpy(zero_copy_only=False)
         return pa.table(
             {
-                "__part": pa.array(_coarse_parts(flat)),
+                "__part": part_ids(flat),
                 "band_key": pa.array(flat),
                 "doc_id": t.column("doc_id").take(parents),
             }
@@ -393,7 +382,7 @@ def _exact_jaccard_edges(sig: Dataset, cands: Dataset, threshold: float) -> Data
         n = len(a)
         return pa.table(
             {
-                "__part": pa.array(_coarse_parts(doc)),
+                "__part": part_ids(doc),
                 "doc_id": pa.array(doc),
                 "pa_": pa.array(np.concatenate([a, a])),
                 "pb_": pa.array(np.concatenate([b, b])),
@@ -411,7 +400,7 @@ def _exact_jaccard_edges(sig: Dataset, cands: Dataset, threshold: float) -> Data
         doc = t["doc_id"].to_numpy(zero_copy_only=False)
         return pa.table(
             {
-                "__part": pa.array(_coarse_parts(doc)),
+                "__part": part_ids(doc),
                 "doc_id": t["doc_id"],
                 "pa_": pa.nulls(n, pa.int64()),
                 "pb_": pa.nulls(n, pa.int64()),
@@ -601,7 +590,7 @@ def _simhash_explode(t: pa.Table) -> pa.Table:
     keys_np = np.asarray(keys, dtype=np.int64)
     return pa.table(
         {
-            "__part": pa.array(_coarse_parts(keys_np)),
+            "__part": part_ids(keys_np),
             "chunk_key": pa.array(keys_np),
             "doc_id": pa.array(out_ids, pa.int64()),
             "sim": pa.array(out_sim, pa.int64()),
@@ -674,7 +663,7 @@ def simhash_dup_pairs(sf_dir: str, max_hamming: int = 3, max_group: int = 512) -
         a = t["doc_a"].to_numpy(zero_copy_only=False)
         b = t["doc_b"].to_numpy(zero_copy_only=False)
         key = a.astype(np.uint64) * np.uint64(0x100000001B3) + b.astype(np.uint64)
-        return t.append_column("__part", pa.array(_coarse_parts(key.astype(np.int64))))
+        return t.append_column("__part", part_ids(key))
 
     def dedup_part(t: pa.Table) -> pa.Table:
         arr = np.stack(
@@ -754,7 +743,7 @@ def _hyperplane_bands_fn(dim: int, band_bits: int = 16, n_bands: int = 64, seed:
         ids = np.tile(t["vec_id"].to_numpy(zero_copy_only=False).astype(np.int64), n_bands)
         return pa.table(
             {
-                "__part": pa.array(_coarse_parts(keys_np)),
+                "__part": part_ids(keys_np),
                 "band_key": pa.array(keys_np),
                 "doc_id": pa.array(ids),
             }
@@ -839,7 +828,7 @@ def embedding_near_dups(
         n = len(a)
         return pa.table(
             {
-                "__part": pa.array(_coarse_parts(doc)),
+                "__part": part_ids(doc),
                 "doc_id": pa.array(doc),
                 "pa_": pa.array(np.concatenate([a, a])),
                 "pb_": pa.array(np.concatenate([b, b])),
@@ -862,7 +851,7 @@ def embedding_near_dups(
         )
         return pa.table(
             {
-                "__part": pa.array(_coarse_parts(doc)),
+                "__part": part_ids(doc),
                 "doc_id": pa.array(doc),
                 "pa_": pa.nulls(n, pa.int64()),
                 "pb_": pa.nulls(n, pa.int64()),
@@ -1104,7 +1093,7 @@ def fuzzy_name_matches(sf_dir: str, threshold: float = 0.5) -> Dataset:
         keys = np.concatenate(out_key)
         return pa.table(
             {
-                "__part": pa.array(_coarse_parts(keys)),
+                "__part": part_ids(keys),
                 "band_key": pa.array(keys, pa.int64()),
                 "doc_id": pa.array(np.concatenate(out_id), pa.int64()),
             }

@@ -25,13 +25,7 @@ import ray.data as rd
 from ray.data import Dataset
 from ray.data.aggregate import Count, Max, Min, Sum
 
-from ..util import map_partitions
-
-# coarse partition count for the co-group exchange (see memory: groupby on
-# raw node ids pays ~1 Python call per node; a fixed modulus keeps the
-# map_groups call count constant and the per-call work vectorized)
-_N_PARTS = 64
-
+from ..exchange import map_partitions, part_ids
 
 def _sym_with_part(edges: Dataset, a: str, b: str) -> Dataset:
     """Symmetrize (each undirected edge becomes two directed rows) and tag
@@ -46,7 +40,7 @@ def _sym_with_part(edges: Dataset, a: str, b: str) -> Dataset:
             {
                 "node": pa.array(node, pa.int64()),
                 "neighbor": pa.array(neigh, pa.int64()),
-                "__part": pa.array(node % _N_PARTS, pa.int64()),
+                "__part": part_ids(node),
             }
         )
 
@@ -132,7 +126,7 @@ def connected_components(
                 "node": pa.array(node, pa.int64()),
                 "neighbor": pa.array(np.full(n, -1), pa.int64()),
                 "label": t["label"].cast(pa.int64()),
-                "__part": pa.array(node % _N_PARTS, pa.int64()),
+                "__part": part_ids(node),
             }
         )
 
@@ -364,7 +358,7 @@ def _pagerank_exchange(sym: Dataset, n_iter: int, damping: float) -> Dataset:
                 "neighbor": pa.array(np.full(t.num_rows, -1), pa.int64()),
                 "pr": t["pr"],
                 "deg": t["deg"],
-                "__part": pa.array(node % _N_PARTS, pa.int64()),
+                "__part": part_ids(node),
             }
         )
 
@@ -489,7 +483,6 @@ def entity_pagerank(ea: Dataset, n_iter: int = 5, damping: float = 0.85) -> Data
 
     from ..util import cached_get
 
-    from ..stages.materialize import _string_key_part
 
     def to_pairs(t: pa.Table) -> pa.Table:
         # per-block distinct partial (Arrow hash group_by), tagged with a
@@ -500,7 +493,7 @@ def entity_pagerank(ea: Dataset, n_iter: int = 5, damping: float = 0.85) -> Data
             .group_by(["s", "o"], use_threads=False)
             .aggregate([])
         )
-        return g.append_column("__part", _string_key_part(g, ["s", "o"]))
+        return g.append_column("__part", part_ids(g, ["s", "o"]))
 
     def distinct_pairs(t: pa.Table) -> pa.Table:
         return t.group_by(["s", "o"], use_threads=False).aggregate([])
@@ -620,7 +613,6 @@ def _coded_undirected_pairs(ea: Dataset):
     map / entity_pagerank). Output rows have a < b; self-loops dropped."""
     import ray
 
-    from ..stages.materialize import _string_key_part
     from ..util import cached_get
 
     def to_pairs(t: pa.Table) -> pa.Table:
@@ -628,9 +620,8 @@ def _coded_undirected_pairs(ea: Dataset):
         lo = pc.min_element_wise(t["subj"], t["obj"])
         hi = pc.max_element_wise(t["subj"], t["obj"])
         g = pa.table({"s": lo, "o": hi}).group_by(["s", "o"], use_threads=False).aggregate([])
-        return g.append_column("__part", _string_key_part(g, ["s", "o"]))
+        return g.append_column("__part", part_ids(g, ["s", "o"]))
 
-    from ..util import map_partitions
 
     pairs = map_partitions(
         ea.map_batches(to_pairs, batch_format="pyarrow", batch_size=None, zero_copy_batch=True),
@@ -688,7 +679,7 @@ def kg_triangle_count(ea: Dataset) -> "pa.Table":
     vocabulary-bounded broadcast (8 B/entity)."""
     import ray
 
-    from ..util import cached_get, map_partitions
+    from ..util import cached_get
 
     pairs, vocab_ref = _coded_undirected_pairs(ea)
 
@@ -730,7 +721,7 @@ def kg_triangle_count(ea: Dataset) -> "pa.Table":
             {
                 "src": pa.array(src, pa.int64()),
                 "dst": pa.array(dst, pa.int64()),
-                "__part": pa.array(src % _N_PARTS, pa.int64()),
+                "__part": part_ids(src),
             }
         )
 
@@ -777,7 +768,7 @@ def kg_triangle_count(ea: Dataset) -> "pa.Table":
                 {
                     "key": pa.array(key, pa.int64()),
                     "is_edge": pa.array(np.full(len(a), is_edge), pa.int64()),
-                    "__part": pa.array(key % _N_PARTS, pa.int64()),
+                    "__part": part_ids(key),
                 }
             )
 
@@ -819,7 +810,7 @@ def kg_common_neighbors(ea: Dataset, k: int = 50, max_degree: int = 4096) -> "pa
     drop hubs first (the standard practice this guard makes explicit)."""
     import ray
 
-    from ..util import cached_get, map_partitions
+    from ..util import cached_get
 
     pairs, vocab_ref = _coded_undirected_pairs(ea)
 
@@ -864,7 +855,7 @@ def kg_common_neighbors(ea: Dataset, k: int = 50, max_degree: int = 4096) -> "pa
             {
                 "mid": pa.array(mid, pa.int64()),
                 "nb": pa.array(nb, pa.int64()),
-                "__part": pa.array(mid % _N_PARTS, pa.int64()),
+                "__part": part_ids(mid),
             }
         )
 
@@ -912,7 +903,7 @@ def kg_common_neighbors(ea: Dataset, k: int = 50, max_degree: int = 4096) -> "pa
                 {
                     "key": pa.array(key, pa.int64()),
                     "cnt": pa.array(np.full(len(a), cnt_val), pa.int64()),
-                    "__part": pa.array(key % _N_PARTS, pa.int64()),
+                    "__part": part_ids(key),
                 }
             )
 
@@ -928,7 +919,7 @@ def kg_common_neighbors(ea: Dataset, k: int = 50, max_degree: int = 4096) -> "pa
             {
                 "key": pa.array(uniq, pa.int64()),
                 "cnt": pa.array(counts.astype(np.int64), pa.int64()),
-                "__part": pa.array(uniq % _N_PARTS, pa.int64()),
+                "__part": part_ids(uniq),
             }
         )
 
@@ -942,7 +933,7 @@ def kg_common_neighbors(ea: Dataset, k: int = 50, max_degree: int = 4096) -> "pa
             {
                 "key": pa.array(key, pa.int64()),
                 "cnt": pa.array(np.full(len(a), -big), pa.int64()),
-                "__part": pa.array(key % _N_PARTS, pa.int64()),
+                "__part": part_ids(key),
             }
         )
 
@@ -1020,7 +1011,7 @@ def kg_adamic_adar(ea: Dataset, k: int = 50, max_degree: int = 4096) -> "pa.Tabl
     exact-or-error ``max_degree`` hub guard as kg_common_neighbors."""
     import ray
 
-    from ..util import cached_get, map_partitions
+    from ..util import cached_get
 
     pairs, vocab_ref = _coded_undirected_pairs(ea)
 
@@ -1073,7 +1064,7 @@ def kg_adamic_adar(ea: Dataset, k: int = 50, max_degree: int = 4096) -> "pa.Tabl
             {
                 "mid": pa.array(mid, pa.int64()),
                 "nb": pa.array(nb, pa.int64()),
-                "__part": pa.array(mid % _N_PARTS, pa.int64()),
+                "__part": part_ids(mid),
             }
         )
 
@@ -1116,7 +1107,7 @@ def kg_adamic_adar(ea: Dataset, k: int = 50, max_degree: int = 4096) -> "pa.Tabl
                 "key": pa.array(key, pa.int64()),
                 "dz": pa.array(dz, pa.int64()),
                 "cnt": pa.array(cnt, pa.int64()),
-                "__part": pa.array(key % _N_PARTS, pa.int64()),
+                "__part": part_ids(key),
             }
         )
 
@@ -1129,7 +1120,7 @@ def kg_adamic_adar(ea: Dataset, k: int = 50, max_degree: int = 4096) -> "pa.Tabl
                 "key": pa.array(key, pa.int64()),
                 "dz": pa.array(np.full(len(key), -1), pa.int64()),
                 "cnt": pa.array(np.ones(len(key), np.int64), pa.int64()),
-                "__part": pa.array(key % _N_PARTS, pa.int64()),
+                "__part": part_ids(key),
             }
         )
 
@@ -1264,7 +1255,6 @@ def _pair_weights(ea: Dataset) -> Dataset:
     (s, o, w) with s < o, w = summed triple weight across both directions
     and all predicates; self-loops dropped. Same two-exchange shape as
     `_coded_undirected_pairs` but weight-preserving."""
-    from ..stages.materialize import _string_key_part
 
     def part(t: pa.Table) -> pa.Table:
         t = t.filter(pc.invert(pc.equal(t["subj"], t["obj"])))
@@ -1276,7 +1266,7 @@ def _pair_weights(ea: Dataset) -> Dataset:
             .aggregate([("w", "sum")])
         )
         g = pa.table({"s": g["s"], "o": g["o"], "w": pc.cast(g["w_sum"], pa.int64())})
-        return g.append_column("__part", _string_key_part(g, ["s", "o"]))
+        return g.append_column("__part", part_ids(g, ["s", "o"]))
 
     return map_partitions(
         ea.map_batches(part, batch_format="pyarrow", batch_size=None, zero_copy_batch=True),
@@ -1567,7 +1557,7 @@ def kg_negative_samples(ea: Dataset) -> Dataset:
 
     import ray
 
-    from ..util import cached_get, map_partitions
+    from ..util import cached_get
 
     pairs, vocab_ref = _coded_undirected_pairs(ea)
     n_ent = len(ray.get(vocab_ref))
@@ -1598,7 +1588,7 @@ def kg_negative_samples(ea: Dataset) -> Dataset:
                 "neg_a": pa.array(lo, pa.int64()),
                 "neg_b": pa.array(hi, pa.int64()),
                 "is_edge": pa.array(np.zeros(len(a), np.int64)),
-                "__part": pa.array(key % _N_PARTS, pa.int64()),
+                "__part": part_ids(key),
             }
         )
 
@@ -1615,7 +1605,7 @@ def kg_negative_samples(ea: Dataset) -> Dataset:
                 "neg_a": pa.array(z),
                 "neg_b": pa.array(z),
                 "is_edge": pa.array(np.ones(len(a), np.int64)),
-                "__part": pa.array(key % _N_PARTS, pa.int64()),
+                "__part": part_ids(key),
             }
         )
 
@@ -1742,7 +1732,6 @@ def _coded_directed_pairs(ea: Dataset):
     argument as the canonical map."""
     import ray
 
-    from ..stages.materialize import _string_key_part
     from ..util import cached_get
 
     def to_pairs(t: pa.Table) -> pa.Table:
@@ -1752,7 +1741,7 @@ def _coded_directed_pairs(ea: Dataset):
             .group_by(["s", "o"], use_threads=False)
             .aggregate([])
         )
-        return g.append_column("__part", _string_key_part(g, ["s", "o"]))
+        return g.append_column("__part", part_ids(g, ["s", "o"]))
 
     pairs = map_partitions(
         ea.map_batches(to_pairs, batch_format="pyarrow", batch_size=None, zero_copy_batch=True),
@@ -2008,7 +1997,7 @@ def kg_label_prop(ea: Dataset, n_iter: int = 3) -> "pa.Table":
     contract with a mode instead of a sum."""
     import ray
 
-    from ..util import cached_get, map_partitions
+    from ..util import cached_get
 
     out_schema = pa.schema([("entity", pa.string()), ("community", pa.string())])
     pairs, vocab_ref = _coded_undirected_pairs(ea)
@@ -2087,8 +2076,6 @@ def kg_predicate_entropy(edges_agg: Dataset) -> Dataset:
     bincount entropy per partition."""
     import ray  # noqa: F401  (engine-wide convention: graph ops run under Ray)
 
-    from ..stages.materialize import _string_key_part
-    from ..util import map_partitions
 
     def partial(t: pa.Table) -> pa.Table:
         g = (
@@ -2097,7 +2084,7 @@ def kg_predicate_entropy(edges_agg: Dataset) -> Dataset:
             .aggregate([("weight", "sum")])
         )
         g = pa.table({"subj": g["subj"], "pred": g["pred"], "w": g["weight_sum"]})
-        return g.append_column("__part", _string_key_part(g, ["subj"]))
+        return g.append_column("__part", part_ids(g, ["subj"]))
 
     out_schema = pa.schema(
         [("node", pa.string()), ("n_preds", pa.int64()), ("pred_entropy", pa.float64())]
@@ -2157,15 +2144,6 @@ def kg_edge_timestamps(
     import ray.data as rd
     from ray.data.aggregate import Min, Sum
 
-    from ..util import map_partitions
-
-    _P = 64
-
-    def _part_of(conv: np.ndarray) -> np.ndarray:
-        from pandas.util import hash_array
-
-        h = hash_array(conv.astype(object), categorize=False).astype(np.uint64)
-        return (h % np.uint64(_P)).astype(np.int64)
 
     union_schema = pa.schema(
         [
@@ -2196,7 +2174,7 @@ def kg_edge_timestamps(
                 "pred": pa.array([""] * n, pa.string()),
                 "obj": pa.array([""] * n, pa.string()),
                 "w": pa.array(np.zeros(n, np.int64)),
-                "__part": pa.array(_part_of(conv)),
+                "__part": part_ids(t["conv_id"]),
             }
         )
 
@@ -2213,7 +2191,7 @@ def kg_edge_timestamps(
                 "pred": t["pred"].combine_chunks().cast(pa.string()),
                 "obj": t["obj"].combine_chunks().cast(pa.string()),
                 "w": pc.cast(t["weight"], pa.int64()),
-                "__part": pa.array(_part_of(conv)),
+                "__part": part_ids(t["conv_id"]),
             }
         )
 
@@ -2552,8 +2530,6 @@ def kg_path_census(edges_agg: Dataset) -> Dataset:
     meet in a final |P|^2-row combine."""
     import ray  # noqa: F401
 
-    from ..stages.materialize import _string_key_part
-    from ..util import map_partitions
 
     def partial(t: pa.Table) -> pa.Table:
         go = (
@@ -2599,7 +2575,7 @@ def kg_path_census(edges_agg: Dataset) -> Dataset:
                 ),
             }
         )
-        return out.append_column("__part", _string_key_part(out, ["node"]))
+        return out.append_column("__part", part_ids(out, ["node"]))
 
     out_schema = pa.schema(
         [("pred1", pa.string()), ("pred2", pa.string()), ("n_paths", pa.int64())]
@@ -2669,8 +2645,6 @@ def kg_reciprocity(edges_agg: Dataset) -> Dataset:
     meet in a |P|-row combine."""
     import ray  # noqa: F401
 
-    from ..stages.materialize import _string_key_part
-    from ..util import map_partitions
 
     def partial(t: pa.Table) -> pa.Table:
         t = t.filter(pc.invert(pc.equal(t["subj"], t["obj"])))
@@ -2685,7 +2659,7 @@ def kg_reciprocity(edges_agg: Dataset) -> Dataset:
         g = g.set_column(
             g.column_names.index("cnt"), "cnt", pc.cast(g["cnt"], pa.int64())
         )
-        return g.append_column("__part", _string_key_part(g, ["pred", "lo", "hi"]))
+        return g.append_column("__part", part_ids(g, ["pred", "lo", "hi"]))
 
     out_schema = pa.schema(
         [("pred", pa.string()), ("n_pairs", pa.int64()), ("n_recip", pa.int64())]
@@ -2762,8 +2736,6 @@ def kg_star_query(
     bounded by the rarest predicate's subject count."""
     import ray  # noqa: F401
 
-    from ..stages.materialize import _string_key_part
-    from ..util import map_partitions
 
     want = sorted(set(preds))
 
@@ -2776,7 +2748,7 @@ def kg_star_query(
         )
         g = g.rename_columns(["subj", "pred", "n"])
         g = g.set_column(g.column_names.index("n"), "n", pc.cast(g["n"], pa.int64()))
-        return g.append_column("__part", _string_key_part(g, ["subj"]))
+        return g.append_column("__part", part_ids(g, ["subj"]))
 
     out_schema = pa.schema([("subj", pa.string()), ("n_objs", pa.int64())])
 
@@ -2864,8 +2836,6 @@ def kg_entity_roles(edges_agg: Dataset) -> Dataset:
     |P|-row combine."""
     import ray  # noqa: F401
 
-    from ..stages.materialize import _string_key_part
-    from ..util import map_partitions
 
     def partial(t: pa.Table) -> pa.Table:
         outs = []
@@ -2888,7 +2858,7 @@ def kg_entity_roles(edges_agg: Dataset) -> Dataset:
                 )
             )
         out = pa.concat_tables(outs)
-        return out.append_column("__part", _string_key_part(out, ["pred", "entity"]))
+        return out.append_column("__part", part_ids(out, ["pred", "entity"]))
 
     out_schema = pa.schema(
         [
@@ -2997,12 +2967,10 @@ def kg_pred_confusion(edges_agg: Dataset) -> Dataset:
     final combine."""
     import ray  # noqa: F401
 
-    from ..stages.materialize import _string_key_part
-    from ..util import map_partitions
 
     def partial(t: pa.Table) -> pa.Table:
         g = t.select(["subj", "obj", "pred"])
-        return g.append_column("__part", _string_key_part(g, ["subj", "obj"]))
+        return g.append_column("__part", part_ids(g, ["subj", "obj"]))
 
     out_schema = pa.schema(
         [("pred1", pa.string()), ("pred2", pa.string()), ("n_pairs", pa.int64())]
@@ -3059,8 +3027,6 @@ def conv_entity_richness(edges: Dataset, topn: int = 50) -> Dataset:
     driver merge."""
     import ray  # noqa: F401
 
-    from ..stages.materialize import _string_key_part
-    from ..util import map_partitions
 
     def partial(t: pa.Table) -> pa.Table:
         outs = []
@@ -3072,7 +3038,7 @@ def conv_entity_richness(edges: Dataset, topn: int = 50) -> Dataset:
             )
             outs.append(g.rename_columns(["conv_id", "entity", "w"]))
         out = pa.concat_tables(outs)
-        return out.append_column("__part", _string_key_part(out, ["conv_id"]))
+        return out.append_column("__part", part_ids(out, ["conv_id"]))
 
     out_schema = pa.schema(
         [
@@ -3138,12 +3104,10 @@ def kg_edge_confidence(edges_agg: Dataset) -> Dataset:
     by inverse index — no second pass, no driver state."""
     import ray  # noqa: F401
 
-    from ..stages.materialize import _string_key_part
-    from ..util import map_partitions
 
     def partial(t: pa.Table) -> pa.Table:
         g = t.select(["subj", "pred", "obj", "weight"])
-        return g.append_column("__part", _string_key_part(g, ["subj", "pred"]))
+        return g.append_column("__part", part_ids(g, ["subj", "pred"]))
 
     out_schema = pa.schema(
         [

@@ -1,10 +1,11 @@
 """Join operators Ray Data lacks natively: as-of join and range join,
-composed from groupby().map_groups + in-group sorting (task brief "custom
-operators": composition first, actor state only when semantics demand it).
+composed from one coarse user-hash exchange (``exchange.map_partitions``)
++ in-partition sorting (composition first, actor state only when semantics
+demand it).
 
-Partitioning assumption (documented per the brief): both sides are
-co-partitioned by the equality key (user_id) via the same groupby, so each
-group holds every row needed for its joins; within a group, pandas
+Partitioning assumption: both sides are co-partitioned by the equality key
+(user_id) via the same exchange, so each partition holds every row needed
+for its joins; within a partition, pandas
 merge_asof / interval logic runs over ts-sorted frames (ray_guide.md as-of
 join recipe)."""
 
@@ -14,6 +15,8 @@ import pandas as pd
 import pyarrow as pa
 import ray.data as rd
 from ray.data import Dataset
+
+from ..exchange import map_partitions, with_parts
 
 
 def _events(sf_dir: str, columns: list[str] | None = None) -> Dataset:
@@ -66,10 +69,15 @@ def asof_join_purchases_to_clicks(sf_dir: str) -> Dataset:
             ["purchase_id", "user_id", "click_id", "ms_since_click"]
         ]
 
-    from .window import _user_partitioned
-
-    return _user_partitioned(ds).groupby("__part").map_groups(
-        per_partition, batch_format="pandas"
+    return map_partitions(
+        with_parts(ds, ["user_id"]),
+        "__part",
+        per_partition,
+        pa.schema(
+            [("purchase_id", pa.int64()), ("user_id", pa.int64()), ("click_id", pa.float64()),
+             ("ms_since_click", pa.float64())]
+        ),
+        batch_format="pandas",
     )
 
 
@@ -145,8 +153,16 @@ def range_join_events_in_window(sf_dir: str, window_minutes: int = 5) -> Dataset
             }
         )
 
-    from .window import _user_partitioned
-
-    return _user_partitioned(ds).groupby("__part").map_groups(
-        per_partition, batch_format="pandas"
+    return map_partitions(
+        with_parts(ds, ["user_id"]),
+        "__part",
+        per_partition,
+        pa.schema(
+            [
+                ("purchase_id", pa.int64()),
+                ("user_id", pa.int64()),
+                ("click_id", pa.int64()),
+            ]
+        ),
+        batch_format="pandas",
     )

@@ -23,6 +23,8 @@ import ray.data as rd
 from ray.data import Dataset
 from ray.data.aggregate import Count, Max, Mean, Min, Sum
 
+from ..exchange import map_partitions, part_ids
+
 
 def _pq(sf_dir: str, table: str, columns: list[str] | None = None) -> Dataset:
     return rd.read_parquet(f"{sf_dir}/{table}.parquet", columns=columns)
@@ -351,9 +353,6 @@ def dim_join(
     )
 
 
-_JOIN_PARTS = 64
-
-
 def _as_key_array(vals: np.ndarray) -> np.ndarray:
     """Normalize a join-key column to a searchsorted-comparable dtype:
     integers stay int64 (exact), everything else becomes a fixed-width
@@ -362,18 +361,6 @@ def _as_key_array(vals: np.ndarray) -> np.ndarray:
     if np.issubdtype(vals.dtype, np.number):
         return vals.astype(np.int64)
     return vals.astype("U")
-
-
-def _int_key_part(keys: np.ndarray, parts: int = _JOIN_PARTS) -> pa.Array:
-    """Coarse partition id from a normalized key array (int64 or unicode);
-    string keys hash via pandas' vectorized siphash."""
-    if np.issubdtype(keys.dtype, np.number):
-        h = (keys.astype(np.uint64) * np.uint64(0x9E3779B97F4A7C15)) >> np.uint64(33)
-    else:
-        import pandas as pd
-
-        h = pd.util.hash_array(keys.astype(object), categorize=False)
-    return pa.array((h % np.uint64(parts)).astype(np.int64))
 
 
 def _shuffle_inner_join(
@@ -396,7 +383,7 @@ def _shuffle_inner_join(
             n = t.num_rows
             keys = _as_key_array(t[key_col].to_numpy(zero_copy_only=False))
             cols: dict[str, pa.Array] = {
-                "__part": _int_key_part(keys),
+                "__part": part_ids(keys),
                 "__key": pa.array(keys),
                 "__side": pa.array(np.full(n, side, dtype=np.int8)),
             }
@@ -446,7 +433,9 @@ def _shuffle_inner_join(
             }
         )
 
-    return tagged.groupby("__part").map_groups(join_partition, batch_format="pyarrow")
+    return map_partitions(
+        tagged, "__part", join_partition, pa.schema([(c, types[c]) for c in cols_out])
+    )
 
 
 def _shuffle_left_join(
@@ -467,7 +456,7 @@ def _shuffle_left_join(
             n = t.num_rows
             keys = _as_key_array(t[key_col].to_numpy(zero_copy_only=False))
             cols: dict[str, pa.Array] = {
-                "__part": _int_key_part(keys),
+                "__part": part_ids(keys),
                 "__key": pa.array(keys),
                 "__side": pa.array(np.full(n, side, dtype=np.int8)),
             }
@@ -527,7 +516,9 @@ def _shuffle_left_join(
             }
         )
 
-    return tagged.groupby("__part").map_groups(join_partition, batch_format="pyarrow")
+    return map_partitions(
+        tagged, "__part", join_partition, pa.schema([(c, types[c]) for c in cols_out])
+    )
 
 
 def customers_per_nation(sf_dir: str, broadcast_limit: int = BROADCAST_ROW_LIMIT) -> Dataset:
@@ -627,7 +618,7 @@ def _shuffle_anti_join(
             n = t.num_rows
             keys = _as_key_array(t[key_col].to_numpy(zero_copy_only=False))
             cols: dict[str, pa.Array] = {
-                "__part": _int_key_part(keys),
+                "__part": part_ids(keys),
                 "__key": pa.array(keys),
                 "__side": pa.array(np.full(n, side, dtype=np.int8)),
             }
@@ -654,11 +645,15 @@ def _shuffle_anti_join(
     def finish(t: pa.Table) -> pa.Table:
         return t.rename_columns([left_key, *left_cols])
 
-    return (
-        tagged.groupby("__part")
-        .map_groups(keep_unmatched_partition, batch_format="pyarrow")
-        .map_batches(finish, batch_format="pyarrow", batch_size=None)
-    )
+    # the exchange carries the key as _as_key_array normalized it
+    kt = left_types[left_key]
+    key_type = pa.int64() if pa.types.is_integer(kt) or pa.types.is_floating(kt) else pa.string()
+    return map_partitions(
+        tagged,
+        "__part",
+        keep_unmatched_partition,
+        pa.schema([("__key", key_type), *((c, left_types[c]) for c in left_cols)]),
+    ).map_batches(finish, batch_format="pyarrow", batch_size=None)
 
 
 def supplier_nation_region(
@@ -1021,8 +1016,6 @@ def frequent_part_pairs(sf_dir: str, min_support: int = 2) -> Dataset:
     as the LSH bucket pair-gen (baskets are SMALL — pairs per order are
     C(items,2) with single-digit items, so no orientation/cap is needed);
     one pair groupby-sum + filter finishes."""
-    from ..util import map_partitions
-
     ds = rd.read_parquet(
         f"{sf_dir}/lineitem.parquet", columns=["l_orderkey", "l_partkey"]
     )
@@ -1030,7 +1023,7 @@ def frequent_part_pairs(sf_dir: str, min_support: int = 2) -> Dataset:
     def distinct_part(t: pa.Table) -> pa.Table:
         g = t.group_by(["l_orderkey", "l_partkey"], use_threads=False).aggregate([])
         ok = g["l_orderkey"].to_numpy(zero_copy_only=False)
-        return g.append_column("__part", pa.array((ok % 64).astype(np.int64)))
+        return g.append_column("__part", part_ids(ok))
 
     def pairs_in_part(t: pa.Table) -> pa.Table:
         ok = t["l_orderkey"].to_numpy(zero_copy_only=False)

@@ -560,7 +560,8 @@ def semdedup(sf_dir: str, k: int = 8, iters: int = 2, tau: float = 0.95) -> Data
     normalized matmul + vectorized first-earlier-duplicate scan. The
     duplicate DECISION uses the raw cosine (the embedding_near_dups oracle
     precedent: raw IEEE doubles agree across engines on exact ints)."""
-    from ..util import cached_get, map_partitions
+    from ..exchange import map_partitions
+    from ..util import cached_get
 
     cents = _lloyd_centroids(sf_dir, k, iters)
     final_ref = ray.put(cents)

@@ -27,7 +27,7 @@ def topk_events_per_user(sf_dir: str, k: int = 3) -> Dataset:
     row_number() OVER. Per-batch partial top-k before the exchange bounds
     the shuffled rows at k per user per batch."""
     ds = _events(sf_dir, ["event_id", "user_id", "value"])
-    from .window import _user_partitioned
+    from ..exchange import map_partitions, with_parts
 
     def topk_partition(g: pd.DataFrame) -> pd.DataFrame:
         g = g.sort_values(["user_id", "value", "event_id"],
@@ -36,8 +36,15 @@ def topk_events_per_user(sf_dir: str, k: int = 3) -> Dataset:
         g = g[g["rank"] <= k]
         return g[["user_id", "event_id", "value", "rank"]]
 
-    return _user_partitioned(ds).groupby("__part").map_groups(
-        topk_partition, batch_format="pandas"
+    return map_partitions(
+        with_parts(ds, ["user_id"]),
+        "__part",
+        topk_partition,
+        pa.schema(
+            [("user_id", pa.int64()), ("event_id", pa.int64()), ("value", pa.float64()),
+             ("rank", pa.int64())]
+        ),
+        batch_format="pandas",
     )
 
 

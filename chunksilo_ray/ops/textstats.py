@@ -18,6 +18,8 @@ import ray.data as rd
 from ray.data import Dataset
 from ray.data.aggregate import Count, Mean, Sum
 
+from ..exchange import map_partitions, part_ids
+
 _WORD_RE = re.compile(r"[A-Za-z0-9]+")
 
 # tiny per-language stopword profiles for the n-gram/stopword language
@@ -330,7 +332,7 @@ def tfidf_top_terms(sf_dir: str, k: int = 3) -> Dataset:
         score = np.round(tfv * np.log(float(n_docs) / dfv), 6)
         out = t.select([c for c in ("doc_id", "term", "tf", "df") if c in t.column_names])
         out = out.append_column("score", pa.array(score, pa.float64()))
-        return out.append_column("__part", pa.array(doc % 64, pa.int64()))
+        return out.append_column("__part", part_ids(doc))
 
     scored = joined.map_batches(
         score_part, batch_format="pyarrow", batch_size=None, zero_copy_batch=True
@@ -345,7 +347,16 @@ def tfidf_top_terms(sf_dir: str, k: int = 3) -> Dataset:
 
     import pandas as pd  # noqa: F811 - local for the pandas-format stage
 
-    return scored.groupby("__part").map_groups(topk_partition, batch_format="pandas")
+    return map_partitions(
+        scored,
+        "__part",
+        topk_partition,
+        pa.schema(
+            [("doc_id", pa.int64()), ("term", pa.string()), ("tf", pa.int64()),
+             ("df", pa.int64()), ("score", pa.float64())]
+        ),
+        batch_format="pandas",
+    )
 
 
 def cap_docs_per_lang(sf_dir: str, cap: int = 50) -> Dataset:
@@ -596,8 +607,6 @@ def weighted_sample_per_lang(sf_dir: str, k: int = 20) -> Dataset:
             t["doc_id"].to_numpy(zero_copy_only=False).astype(np.int64),
             t["priority"].to_numpy(zero_copy_only=False).astype(np.int64),
         )
-
-    from ..util import map_partitions
 
     partials = ds.map_batches(
         partial, batch_format="pyarrow", batch_size=None, zero_copy_batch=True

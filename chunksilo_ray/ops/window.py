@@ -1,11 +1,13 @@
 """Stream-shaped operators over the ``events`` table (ray_guide.md
 "Streaming-shaped workloads"): tumbling windows and session windows,
-implemented as groupby(key).map_groups over ts-sorted groups.
+implemented as one coarse user-hash exchange (``exchange.map_partitions``)
+over ts-sorted partitions.
 
 Ordering assumption (documented per the guide): events of one ``user_id``
-are processed together inside one group; the group is explicitly sorted by
-``ts`` inside the UDF — global row order is never relied on. Both operators
-have exact ANSI-SQL oracles (time_bucket GROUP BY; lag()-gap session ids).
+are processed together inside one partition; the partition is explicitly
+sorted by ``ts`` inside the UDF — global row order is never relied on. Both
+operators have exact ANSI-SQL oracles (time_bucket GROUP BY; lag()-gap
+session ids).
 """
 
 from __future__ import annotations
@@ -17,6 +19,7 @@ import pyarrow.compute as pc
 import ray.data as rd
 from ray.data import Dataset
 
+from ..exchange import map_partitions, part_ids, with_parts
 from .relational import round_columns
 
 HOUR_US = 3_600_000_000
@@ -24,23 +27,6 @@ HOUR_US = 3_600_000_000
 
 def _events(sf_dir: str, columns: list[str] | None = None) -> Dataset:
     return rd.read_parquet(f"{sf_dir}/events.parquet", columns=columns)
-
-
-_WINDOW_PARTS = 64
-
-
-def _user_partitioned(ds: Dataset, parts: int = _WINDOW_PARTS) -> Dataset:
-    """Add a coarse user-hash partition column: the per-user window UDFs then
-    run once per PARTITION (complete users per partition, vectorized inside)
-    instead of once per user — groupby(user).map_groups paid one Python call
-    per user, the dominant cost at real user cardinality."""
-
-    def add_part(t: pa.Table) -> pa.Table:
-        uid = t["user_id"].to_numpy(zero_copy_only=False).astype(np.uint64)
-        h = (uid * np.uint64(0x9E3779B97F4A7C15)) >> np.uint64(33)
-        return t.append_column("__part", pa.array((h % np.uint64(parts)).astype(np.int64)))
-
-    return ds.map_batches(add_part, batch_format="pyarrow", batch_size=None, zero_copy_batch=True)
 
 
 def tumbling_hourly(sf_dir: str) -> Dataset:
@@ -116,8 +102,20 @@ def session_windows(sf_dir: str, gap_minutes: int = 30) -> Dataset:
         out["value_sum"] = out["value_sum"].round(4)
         return out[["user_id", "session_start_us", "session_end_us", "n_events", "value_sum"]]
 
-    return _user_partitioned(ds).groupby("__part").map_groups(
-        sessions_partition, batch_format="pandas"
+    return map_partitions(
+        with_parts(ds, ["user_id"]),
+        "__part",
+        sessions_partition,
+        pa.schema(
+            [
+                ("user_id", pa.int64()),
+                ("session_start_us", pa.int64()),
+                ("session_end_us", pa.int64()),
+                ("n_events", pa.int64()),
+                ("value_sum", pa.float64()),
+            ]
+        ),
+        batch_format="pandas",
     )
 
 
@@ -134,8 +132,18 @@ def rolling_daily_per_user(sf_dir: str) -> Dataset:
         g["running_value"] = g.groupby("user_id")["value"].cumsum().round(4)
         return g[["event_id", "user_id", "running_value"]]
 
-    return _user_partitioned(ds).groupby("__part").map_groups(
-        running_partition, batch_format="pandas"
+    return map_partitions(
+        with_parts(ds, ["user_id"]),
+        "__part",
+        running_partition,
+        pa.schema(
+            [
+                ("event_id", pa.int64()),
+                ("user_id", pa.int64()),
+                ("running_value", pa.float64()),
+            ]
+        ),
+        batch_format="pandas",
     )
 
 
@@ -154,8 +162,19 @@ def lag_delta_per_user(sf_dir: str) -> Dataset:
         g["delta"] = (g["value"] - prev).round(4)
         return g[["event_id", "user_id", "prev_value", "delta"]]
 
-    return _user_partitioned(ds).groupby("__part").map_groups(
-        lag_partition, batch_format="pandas"
+    return map_partitions(
+        with_parts(ds, ["user_id"]),
+        "__part",
+        lag_partition,
+        pa.schema(
+            [
+                ("event_id", pa.int64()),
+                ("user_id", pa.int64()),
+                ("prev_value", pa.float64()),
+                ("delta", pa.float64()),
+            ]
+        ),
+        batch_format="pandas",
     )
 
 
@@ -189,8 +208,20 @@ def latest_event_per_user_type(sf_dir: str) -> Dataset:
             ["user_id", "event_type", "ts_us", "event_id", "value"]
         ]
 
-    return _user_partitioned(compacted).groupby("__part").map_groups(
-        partition_compact, batch_format="pandas"
+    return map_partitions(
+        with_parts(compacted, ["user_id"]),
+        "__part",
+        partition_compact,
+        pa.schema(
+            [
+                ("user_id", pa.int64()),
+                ("event_type", pa.string()),
+                ("ts_us", pa.int64()),
+                ("event_id", pa.int64()),
+                ("value", pa.float64()),
+            ]
+        ),
+        batch_format="pandas",
     )
 
 
@@ -211,8 +242,12 @@ def event_path_per_user(sf_dir: str, k: int = 8) -> Dataset:
         out = g.groupby("user_id", sort=False)["event_type"].agg(">".join)
         return pd.DataFrame({"user_id": out.index.to_numpy(), "path": out.to_numpy()})
 
-    return _user_partitioned(ds).groupby("__part").map_groups(
-        paths_partition, batch_format="pandas"
+    return map_partitions(
+        with_parts(ds, ["user_id"]),
+        "__part",
+        paths_partition,
+        pa.schema([("user_id", pa.int64()), ("path", pa.string())]),
+        batch_format="pandas",
     )
 
 
@@ -304,8 +339,12 @@ def funnel_stages(sf_dir: str) -> pa.Table:
             {"stage": [1, 2, 3], "n_users": [v.height, c.height, p.height]}
         )
 
-    parts = _user_partitioned(ds).groupby("__part").map_groups(
-        funnel_partition, batch_format="pandas"
+    parts = map_partitions(
+        with_parts(ds, ["user_id"]),
+        "__part",
+        funnel_partition,
+        pa.schema([("stage", pa.int64()), ("n_users", pa.int64())]),
+        batch_format="pandas",
     )
     out = (
         parts.groupby("stage")
@@ -338,19 +377,7 @@ def role_transitions(transcripts_path: str) -> Dataset:
     import ray.data as rd
     from ray.data.aggregate import Sum
 
-    from ..util import map_partitions
-
     ds = rd.read_parquet(transcripts_path, columns=["conv_id", "turn_idx", "role"])
-
-    def tag(t: pa.Table) -> pa.Table:
-        from pandas.util import hash_array
-
-        h = hash_array(
-            t["conv_id"].to_numpy(zero_copy_only=False).astype(object), categorize=False
-        ).astype(np.uint64)
-        return t.append_column(
-            "__part", pa.array((h % np.uint64(64)).astype(np.int64))
-        )
 
     def part_counts(t: pa.Table) -> pa.Table:
         conv = t["conv_id"].to_numpy(zero_copy_only=False)
@@ -375,7 +402,7 @@ def role_transitions(transcripts_path: str) -> Dataset:
         )
 
     partials = map_partitions(
-        ds.map_batches(tag, batch_format="pyarrow", batch_size=None, zero_copy_batch=True),
+        with_parts(ds, ["conv_id"]),
         "__part",
         part_counts,
         pa.schema([("role_from", pa.string()), ("role_to", pa.string()), ("cnt", pa.int64())]),
@@ -542,16 +569,6 @@ def sft_pairs(transcripts_path: str) -> Dataset:
         transcripts_path, columns=["conv_id", "turn_idx", "role", "text"]
     )
 
-    def tag(t: pa.Table) -> pa.Table:
-        from pandas.util import hash_array
-
-        h = hash_array(
-            t["conv_id"].to_numpy(zero_copy_only=False).astype(object), categorize=False
-        ).astype(np.uint64)
-        return t.append_column(
-            "__part", pa.array((h % np.uint64(64)).astype(np.int64))
-        )
-
     def pairs(t: pa.Table) -> pa.Table:
         conv = t["conv_id"].to_numpy(zero_copy_only=False)
         idx = t["turn_idx"].to_numpy(zero_copy_only=False).astype(np.int64)
@@ -579,10 +596,8 @@ def sft_pairs(transcripts_path: str) -> Dataset:
             }
         )
 
-    from ..util import map_partitions
-
     return map_partitions(
-        ds.map_batches(tag, batch_format="pyarrow", batch_size=None, zero_copy_batch=True),
+        with_parts(ds, ["conv_id"]),
         "__part",
         pairs,
         pa.schema(
@@ -612,19 +627,7 @@ def conv_dedup(transcripts_path: str) -> Dataset:
     with its representative. Turn text never crosses the second exchange."""
     import hashlib
 
-    from ..util import map_partitions
-
     ds = rd.read_parquet(transcripts_path, columns=["conv_id", "turn_idx", "text"])
-
-    def tag(t: pa.Table) -> pa.Table:
-        from pandas.util import hash_array
-
-        h = hash_array(
-            t["conv_id"].to_numpy(zero_copy_only=False).astype(object), categorize=False
-        ).astype(np.uint64)
-        return t.append_column(
-            "__part", pa.array((h % np.uint64(64)).astype(np.int64))
-        )
 
     def digest(t: pa.Table) -> pa.Table:
         conv = t["conv_id"].to_numpy(zero_copy_only=False)
@@ -645,18 +648,13 @@ def conv_dedup(transcripts_path: str) -> Dataset:
                 "conv_sha": pa.array(shas, pa.string()),
             }
         )
-        return out.append_column(
-            "__part",
-            pa.array(
-                [int(s[:8], 16) % 64 for s in shas], pa.int64()
-            ),
-        )
+        return out.append_column("__part", part_ids(out, ["conv_sha"]))
 
     # first exchange: conversations co-locate by conv hash; digest() emits
     # one row per conversation already tagged with its SECOND (digest-keyed)
     # partition, so duplicates co-locate next
     per_conv = map_partitions(
-        ds.map_batches(tag, batch_format="pyarrow", batch_size=None, zero_copy_batch=True),
+        with_parts(ds, ["conv_id"]),
         "__part",
         digest,
         pa.schema(
@@ -801,8 +799,6 @@ def turn_length_percentiles(transcripts_path: str) -> Dataset:
     no sort of the data itself, no driver state."""
     import pyarrow.compute as pc
     from ray.data.aggregate import Sum
-
-    from ..util import map_partitions
 
     ds = rd.read_parquet(transcripts_path, columns=["role", "text"])
 
@@ -958,19 +954,7 @@ def prompt_prefix_dedup(transcripts_path: str) -> Dataset:
     Prompt text never crosses the second exchange."""
     import hashlib
 
-    from ..util import map_partitions
-
     ds = rd.read_parquet(transcripts_path, columns=["conv_id", "turn_idx", "role", "text"])
-
-    def tag(t: pa.Table) -> pa.Table:
-        from pandas.util import hash_array
-
-        h = hash_array(
-            t["conv_id"].to_numpy(zero_copy_only=False).astype(object), categorize=False
-        ).astype(np.uint64)
-        return t.append_column(
-            "__part", pa.array((h % np.uint64(64)).astype(np.int64))
-        )
 
     _DIGEST_SCHEMA = pa.schema(
         [("conv_id", pa.string()), ("prompt_sha", pa.string()), ("__part", pa.int64())]
@@ -996,12 +980,10 @@ def prompt_prefix_dedup(transcripts_path: str) -> Dataset:
                 "prompt_sha": pa.array(shas, pa.string()),
             }
         )
-        return out.append_column(
-            "__part", pa.array([int(s[:8], 16) % 64 for s in shas], pa.int64())
-        )
+        return out.append_column("__part", part_ids(out, ["prompt_sha"]))
 
     per_conv = map_partitions(
-        ds.map_batches(tag, batch_format="pyarrow", batch_size=None, zero_copy_batch=True),
+        with_parts(ds, ["conv_id"]),
         "__part",
         digest_first_user,
         pa.schema(
@@ -1041,16 +1023,6 @@ def prompt_prefix_dedup(transcripts_path: str) -> Dataset:
     )
 
 
-def _conv_tag(t: pa.Table, parts: int = 64) -> pa.Table:
-    """Append a conv-hash __part column (the role_transitions partitioner)."""
-    from pandas.util import hash_array
-
-    h = hash_array(
-        t["conv_id"].to_numpy(zero_copy_only=False).astype(object), categorize=False
-    ).astype(np.uint64)
-    return t.append_column("__part", pa.array((h % np.uint64(parts)).astype(np.int64)))
-
-
 def role_alternation_audit(transcripts_path: str) -> Dataset:
     """Per-conversation structural VALIDATION of the north-rule transcripts
     table: turn count plus the number of adjacent same-role turn pairs
@@ -1064,8 +1036,6 @@ def role_alternation_audit(transcripts_path: str) -> Dataset:
     factorize + lexsort + vectorized shift emitting final per-conversation
     rows directly (no second exchange — each conversation is complete in
     its partition). Text never leaves the scan."""
-    from ..util import map_partitions
-
     ds = rd.read_parquet(transcripts_path, columns=["conv_id", "turn_idx", "role"])
 
     def audit(t: pa.Table) -> pa.Table:
@@ -1087,7 +1057,7 @@ def role_alternation_audit(transcripts_path: str) -> Dataset:
         )
 
     return map_partitions(
-        ds.map_batches(_conv_tag, batch_format="pyarrow", batch_size=None, zero_copy_batch=True),
+        with_parts(ds, ["conv_id"]),
         "__part",
         audit,
         pa.schema(
@@ -1113,21 +1083,18 @@ def context_window_pack(transcripts_path: str, context_chars: int = 400) -> Data
     directly)."""
     import pyarrow.compute as pc
 
-    from ..util import map_partitions
-
     ds = rd.read_parquet(transcripts_path, columns=["conv_id", "turn_idx", "text"])
     B = np.int64(context_chars)
 
     def lengths(t: pa.Table) -> pa.Table:
-        return _conv_tag(
-            pa.table(
-                {
-                    "conv_id": t["conv_id"],
-                    "turn_idx": t["turn_idx"],
-                    "n_chars": pc.cast(pc.utf8_length(t["text"]), pa.int64()),
-                }
-            )
+        out = pa.table(
+            {
+                "conv_id": t["conv_id"],
+                "turn_idx": t["turn_idx"],
+                "n_chars": pc.cast(pc.utf8_length(t["text"]), pa.int64()),
+            }
         )
+        return out.append_column("__part", part_ids(out, ["conv_id"]))
 
     def pack(t: pa.Table) -> pa.Table:
         conv = t["conv_id"].to_numpy(zero_copy_only=False)
@@ -1185,8 +1152,6 @@ def tool_attribution(transcripts_path: str) -> Dataset:
     np.maximum.accumulate over valid-row indices with a segment-start guard
     (no per-row Python). Output cardinality = input turns, but each row is
     three light columns — text never enters the op."""
-    from ..util import map_partitions
-
     ds = rd.read_parquet(transcripts_path, columns=["conv_id", "turn_idx", "tool"])
 
     def ffill(t: pa.Table) -> pa.Table:
@@ -1212,7 +1177,7 @@ def tool_attribution(transcripts_path: str) -> Dataset:
         )
 
     return map_partitions(
-        ds.map_batches(_conv_tag, batch_format="pyarrow", batch_size=None, zero_copy_batch=True),
+        with_parts(ds, ["conv_id"]),
         "__part",
         ffill,
         pa.schema(
@@ -1233,8 +1198,6 @@ def response_latency(transcripts_path: str) -> Dataset:
     co-locate conversations once; the kernel is one lexsort + vectorized
     shift producing the adjacency mask, then three bincount/maximum.at
     folds emit FINAL per-conversation rows directly."""
-    from ..util import map_partitions
-
     ds = rd.read_parquet(transcripts_path, columns=["conv_id", "turn_idx", "role", "ts"])
 
     def gaps(t: pa.Table) -> pa.Table:
@@ -1263,7 +1226,7 @@ def response_latency(transcripts_path: str) -> Dataset:
         )
 
     return map_partitions(
-        ds.map_batches(_conv_tag, batch_format="pyarrow", batch_size=None, zero_copy_batch=True),
+        with_parts(ds, ["conv_id"]),
         "__part",
         gaps,
         pa.schema(
@@ -1336,8 +1299,6 @@ def conv_partition_skew(transcripts_path: str, parts: int = 64) -> Dataset:
     exact distinct-conversation counts in the final kernel. The md5 is
     computed once per DISTINCT conv in a block, not per row."""
     import hashlib
-
-    from ..util import map_partitions
 
     ds = rd.read_parquet(transcripts_path, columns=["conv_id", "text"])
 
@@ -1423,7 +1384,7 @@ def qa_length_correlation(transcripts_path: str) -> pa.Table:
                 "len": pc.cast(pc.utf8_length(t["text"]), pa.int64()),
             }
         )
-        return _conv_tag(out)
+        return out.append_column("__part", part_ids(out, ["conv_id"]))
 
     MOM = pa.schema(
         [(c, pa.float64()) for c in ("n", "sx", "sy", "sxx", "syy", "sxy")]
@@ -1458,8 +1419,6 @@ def qa_length_correlation(transcripts_path: str) -> pa.Table:
                 "sxy": pa.array([float((x * y).sum())], pa.float64()),
             }
         )
-
-    from ..util import map_partitions
 
     m = (
         map_partitions(
@@ -1511,7 +1470,7 @@ def conv_tool_chains(transcripts_path: str, k: int = 12, topn: int = 50) -> Data
                 "tool": t["tool"],
             }
         )
-        return _conv_tag(out)
+        return out.append_column("__part", part_ids(out, ["conv_id"]))
 
     def chains_partition(g: pd.DataFrame) -> pd.DataFrame:
         g = g.sort_values(["conv_id", "turn_idx"], kind="mergesort")
@@ -1526,10 +1485,13 @@ def conv_tool_chains(transcripts_path: str, k: int = 12, topn: int = 50) -> Data
     from ray.data.aggregate import Sum as _Sum
 
     agg = (
-        ds.map_batches(light, batch_format="pyarrow", batch_size=None,
-                       zero_copy_batch=True)
-        .groupby("__part")
-        .map_groups(chains_partition, batch_format="pandas")
+        map_partitions(
+            ds.map_batches(light, batch_format="pyarrow", batch_size=None, zero_copy_batch=True),
+            "__part",
+            chains_partition,
+            pa.schema([("chain", pa.string()), ("n_convs", pa.int64())]),
+            batch_format="pandas",
+        )
         .groupby("chain")
         .aggregate(_Sum("n_convs", alias_name="n_convs"))
     )
@@ -1560,7 +1522,7 @@ def role_trigrams(transcripts_path: str) -> Dataset:
                 "role": t["role"],
             }
         )
-        return _conv_tag(out)
+        return out.append_column("__part", part_ids(out, ["conv_id"]))
 
     out_schema = pa.schema(
         [
@@ -1599,8 +1561,6 @@ def role_trigrams(transcripts_path: str) -> Dataset:
         )
 
     from ray.data.aggregate import Sum as _Sum
-
-    from ..util import map_partitions
 
     agg = (
         map_partitions(
@@ -1641,8 +1601,6 @@ def tool_latency_profile(transcripts_path: str) -> Dataset:
     from ray.data.aggregate import Max as _Max
     from ray.data.aggregate import Sum as _Sum
 
-    from ..util import map_partitions
-
     ds = rd.read_parquet(
         transcripts_path, columns=["conv_id", "turn_idx", "role", "tool", "ts"]
     )
@@ -1658,7 +1616,7 @@ def tool_latency_profile(transcripts_path: str) -> Dataset:
                 "ts": t["ts"],
             }
         )
-        return _conv_tag(out)
+        return out.append_column("__part", part_ids(out, ["conv_id"]))
 
     out_schema = pa.schema(
         [
@@ -1752,8 +1710,6 @@ def transcript_sessionize(transcripts_path: str, gap_us: int = 1_800_000_000) ->
     (session_turns, n) histogram partials cross the final combine."""
     from ray.data.aggregate import Sum as _Sum
 
-    from ..util import map_partitions
-
     ds = rd.read_parquet(transcripts_path, columns=["conv_id", "turn_idx", "ts"])
 
     def light(t: pa.Table) -> pa.Table:
@@ -1764,7 +1720,7 @@ def transcript_sessionize(transcripts_path: str, gap_us: int = 1_800_000_000) ->
                 "ts": t["ts"],
             }
         )
-        return _conv_tag(out)
+        return out.append_column("__part", part_ids(out, ["conv_id"]))
 
     out_schema = pa.schema(
         [("session_turns", pa.int64()), ("n_sessions", pa.int64())]
@@ -1827,15 +1783,13 @@ def turn_integrity_audit(transcripts_path: str) -> "pa.Table":
     per conversation the checks are vectorized segment folds (count,
     distinct count, min, max) and only four counters per partition reach
     the driver."""
-    from ..util import map_partitions
-
     ds = rd.read_parquet(transcripts_path, columns=["conv_id", "turn_idx"])
 
     def light(t: pa.Table) -> pa.Table:
         out = pa.table(
             {"conv_id": t["conv_id"], "turn_idx": pc.cast(t["turn_idx"], pa.int64())}
         )
-        return _conv_tag(out)
+        return out.append_column("__part", part_ids(out, ["conv_id"]))
 
     out_schema = pa.schema(
         [
@@ -1901,8 +1855,6 @@ def cohort_retention(sf_dir: str) -> Dataset:
     reach the final combine."""
     from ray.data.aggregate import Sum as _Sum
 
-    from ..util import map_partitions
-
     WEEK_US = 7 * 86_400_000_000
     ds = _events(sf_dir, ["user_id", "ts"])
 
@@ -1949,10 +1901,11 @@ def cohort_retention(sf_dir: str) -> Dataset:
 
     agg = (
         map_partitions(
-            _user_partitioned(
+            with_parts(
                 ds.map_batches(
                     partial, batch_format="pyarrow", batch_size=None, zero_copy_batch=True
-                )
+                ),
+                ["user_id"],
             ),
             "__part",
             fold,
@@ -1986,8 +1939,6 @@ def echo_rate_histogram(transcripts_path: str) -> Dataset:
     within partitions."""
     from ray.data.aggregate import Sum as _Sum
 
-    from ..util import map_partitions
-
     import re
 
     tok_re = re.compile(r"[a-z0-9]+")
@@ -2005,7 +1956,7 @@ def echo_rate_histogram(transcripts_path: str) -> Dataset:
                 "text": pc.utf8_lower(t["text"]),
             }
         )
-        return _conv_tag(out)
+        return out.append_column("__part", part_ids(out, ["conv_id"]))
 
     out_schema = pa.schema([("echo_bucket", pa.int64()), ("n_pairs", pa.int64())])
 
@@ -2076,9 +2027,7 @@ def event_type_bigrams(sf_dir: str) -> Dataset:
     ordering identical on both engines."""
     from ray.data.aggregate import Sum as _Sum
 
-    from ..util import map_partitions
-
-    ds = _user_partitioned(_events(sf_dir, ["user_id", "ts", "event_id", "event_type"]))
+    ds = with_parts(_events(sf_dir, ["user_id", "ts", "event_id", "event_type"]), ["user_id"])
 
     out_schema = pa.schema(
         [("t1", pa.string()), ("t2", pa.string()), ("n_bigrams", pa.int64())]
@@ -2135,8 +2084,6 @@ def conversion_within_window(
     first-signup is a segment min and the conversion test one
     searchsorted-free vectorized mask fold; two counters per partition
     reach the driver."""
-    from ..util import map_partitions
-
     ds = _events(sf_dir, ["user_id", "ts", "event_type"])
 
     def light(t: pa.Table) -> pa.Table:
@@ -2180,10 +2127,11 @@ def conversion_within_window(
         )
 
     parts = map_partitions(
-        _user_partitioned(
+        with_parts(
             ds.map_batches(
                 light, batch_format="pyarrow", batch_size=None, zero_copy_batch=True
-            )
+            ),
+            ["user_id"],
         ),
         "__part",
         fold,
@@ -2253,8 +2201,6 @@ def top_users_profile(sf_dir: str, k: int = 20) -> Dataset:
     Scale shape: per-block (user, type) partials; ONE user-hash exchange;
     per partition the dominant type is one lexsort pick and the top-k is a
     per-partition partial before the k-row driver merge."""
-    from ..util import map_partitions
-
     ds = _events(sf_dir, ["user_id", "event_type", "value"])
 
     def partial(t: pa.Table) -> pa.Table:
@@ -2323,10 +2269,11 @@ def top_users_profile(sf_dir: str, k: int = 20) -> Dataset:
         return out
 
     cand = map_partitions(
-        _user_partitioned(
+        with_parts(
             ds.map_batches(
                 partial, batch_format="pyarrow", batch_size=None, zero_copy_batch=True
-            )
+            ),
+            ["user_id"],
         ),
         "__part",
         fold,
@@ -2347,8 +2294,6 @@ def first_tool_distribution(transcripts_path: str) -> Dataset:
     combine."""
     from ray.data.aggregate import Sum as _Sum
 
-    from ..util import map_partitions
-
     ds = rd.read_parquet(transcripts_path, columns=["conv_id", "turn_idx", "role", "tool"])
 
     def light(t: pa.Table) -> pa.Table:
@@ -2361,7 +2306,7 @@ def first_tool_distribution(transcripts_path: str) -> Dataset:
                 "tool": t["tool"],
             }
         )
-        return _conv_tag(out)
+        return out.append_column("__part", part_ids(out, ["conv_id"]))
 
     out_schema = pa.schema([("first_tool", pa.string()), ("n_convs", pa.int64())])
 

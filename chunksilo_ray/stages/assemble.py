@@ -28,6 +28,8 @@ import pyarrow.compute as pc
 
 from ray.data import Dataset
 
+from ..exchange import PARTS, part_ids
+
 # assembled-turn output schema (per-turn rows, conversation-ordered)
 ASSEMBLED_COLUMNS = [
     "conv_id",
@@ -61,18 +63,12 @@ ASSEMBLED_COLUMNS = [
 # kg_edge_timestamps, specialized with a per-source-block return route so
 # the result lands back on the original rows without a join.
 
-_COPART_PARTS = 64
-
-
 def _split_lengths_keyed(block, block_id: int, parts: int) -> list[pa.Table]:
     """Map side of the forward exchange for one input block: light rows
     (conv_id, turn_idx, contrib_len, block_id, row_idx) split into ``parts``
-    conv-hash sub-tables. Hashing must agree across blocks -> pandas
-    hash_array (fixed-key siphash, deterministic across worker processes;
-    hashes only the block's unique conv ids, fanned back out over the
-    dictionary indices)."""
-    from pandas.util import hash_array
-
+    conv-hash sub-tables. Hashing must agree across blocks ->
+    ``exchange.part_ids`` (the same in every worker process), over only the
+    block's unique conv ids, fanned back out over the dictionary indices."""
     contrib = pc.add(
         pc.add(pc.utf8_length(block["role"]), pc.utf8_length(block["text"])),
         pa.scalar(3, pa.int32()),
@@ -83,9 +79,7 @@ def _split_lengths_keyed(block, block_id: int, parts: int) -> list[pa.Table]:
     t = t.append_column("block_id", pa.array(np.full(n, block_id, np.int64)))
     t = t.append_column("row_idx", pa.array(np.arange(n, dtype=np.int64)))
     enc = pc.dictionary_encode(t["conv_id"].combine_chunks())
-    uniq = enc.dictionary.to_numpy(zero_copy_only=False)
-    h_u = hash_array(uniq, categorize=False).astype(np.uint64)
-    part_u = ((h_u >> np.uint64(33)) % np.uint64(parts)).astype(np.int64)
+    part_u = part_ids(enc.dictionary, parts=parts).to_numpy()
     part = part_u[enc.indices.to_numpy(zero_copy_only=False)]
     order = np.argsort(part, kind="stable")
     sorted_tbl = t.take(pa.array(order))
@@ -194,7 +188,7 @@ def assemble_dialogues(turns: Dataset) -> Dataset:
         return turns.map_batches(
             _attach_block, batch_format="pyarrow", batch_size=None, zero_copy_batch=True
         )
-    parts = max(1, min(_COPART_PARTS, n_blocks * 4))
+    parts = max(1, min(PARTS, n_blocks * 4))
     split_task = ray.remote(num_returns=parts)(_split_lengths_keyed) if parts > 1 \
         else ray.remote(_split_lengths_keyed)
     reduce_task = ray.remote(num_returns=n_blocks)(_reduce_route_part) if n_blocks > 1 \

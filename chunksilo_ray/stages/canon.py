@@ -31,7 +31,6 @@ import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
 import pyarrow.parquet as pq
-import ray
 import ray.data as rd
 
 from ray.data import Dataset
@@ -287,9 +286,14 @@ def build_canonical_map(
         _verify_batch_fn(jaccard_threshold, cosine_threshold),
         batch_format="pyarrow", batch_size=8192,
     )
-    edge_rows = verified.take(max_pairs)
-    if len(edge_rows) >= max_pairs:
-        logger.warning("canonical edge list hit max_pairs=%d cap", max_pairs)
+    # the union-find runs on the driver: more verified pairs than the cap
+    # would have to be truncated, and which ones arrive first is not
+    # deterministic, so the build stops instead
+    edge_rows = verified.take(max_pairs + 1)
+    if len(edge_rows) > max_pairs:
+        raise ValueError(
+            f"canonical edge list exceeds canon.max_pairs={max_pairs}; raise canon.max_pairs"
+        )
     edges = sorted({(r["a"], r["b"]) for r in edge_rows})
     return canonical_map_from_edges(edges)
 
@@ -489,49 +493,3 @@ def _apply_cmap_shuffle(ds: Dataset, cmap_ds, columns: list[str]) -> Dataset:
         ds = joined.map_batches(rewrite, batch_format="pyarrow", batch_size=None)
     return ds
 
-
-def apply_canonical_map(
-    ds: Dataset,
-    cmap: dict[str, str],
-    columns: list[str],
-    broadcast_limit: int = CANON_BROADCAST_LIMIT,
-) -> Dataset:
-    """Rewrite placeholder ``surface:<norm>`` ids -> ``ent:<canonical>`` in the
-    given columns. Size-gated (round 5): under ``broadcast_limit`` entries the
-    map is broadcast once via ray.put and applied over each batch's DISTINCT
-    ids; past it, the rewrite becomes a shuffle left join per column
-    (``_apply_cmap_shuffle``) so no worker ever holds the whole map."""
-    if len(cmap) > broadcast_limit:
-        return _apply_cmap_shuffle(ds, canonical_map_dataset(cmap), columns)
-    cmap_ref = ray.put(cmap)
-
-    class Rewrite:
-        def __init__(self, ref):
-            self.cmap = ray.get(ref)
-
-        def __call__(self, t: pa.Table) -> pa.Table:
-            for col in columns:
-                # dictionary-encode first: the python rewrite runs over the
-                # DISTINCT ids of the batch (O(vocabulary), not O(rows)) —
-                # same idiom as the edges materialize pass
-                arr = t.column(col)
-                if isinstance(arr, pa.ChunkedArray):
-                    arr = arr.combine_chunks()
-                enc = arr.dictionary_encode()
-                new_dict = pa.array(
-                    [canonicalize_id(v, self.cmap) for v in enc.dictionary.to_pylist()],
-                    pa.string(),
-                )
-                rewritten = pa.DictionaryArray.from_arrays(enc.indices, new_dict).cast(
-                    pa.string()
-                )
-                t = t.set_column(t.column_names.index(col), col, rewritten)
-            return t
-
-    return ds.map_batches(
-        Rewrite,
-        fn_constructor_args=(cmap_ref,),
-        batch_format="pyarrow", batch_size=None,
-        concurrency=(1, 8),
-        zero_copy_batch=True,
-    )

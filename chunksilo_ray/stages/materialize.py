@@ -15,13 +15,15 @@ Scale design:
   during the explode, and (subj, pred, obj, conv_id, turn_idx) is unique by
   construction. Canonical-map application happens in the same pass (the map
   is broadcast once via ray.put).
-- ``edges_agg`` (global triple weights) and ``nodes`` DO shuffle, but only
-  after a per-batch partial aggregate (pyarrow group_by inside map_batches),
-  so the exchange moves one row per distinct key per batch — the
-  partial/combiner pattern the groupby guide prescribes for 100 TB inputs.
+- ``edges_agg`` (global triple weights) and ``nodes`` DO shuffle. Both, and
+  their incremental merges, are one keyed-sum kernel (``_keyed_sum``): a
+  per-batch partial aggregate, then one ``exchange.map_partitions``, so the
+  exchange moves one row per distinct key per batch.
 """
 
 from __future__ import annotations
+
+from functools import partial
 
 import numpy as np
 import pyarrow as pa
@@ -31,19 +33,37 @@ import ray
 from ray.data import Dataset
 
 from .. import rules
+from ..exchange import map_partitions, part_ids
 from ..util import cached_get
+from .canon import (
+    CANON_BROADCAST_LIMIT,
+    _apply_cmap_shuffle,
+    canonical_map_dataset,
+    canonicalize_id,
+)
 
-
-def _canonicalizer(cmap: dict[str, str]):
-    up, cp = rules.UNKNOWN_PREFIX, rules.CANONICAL_PREFIX
-
-    def canon(eid: str) -> str:
-        if eid.startswith(up):
-            norm = eid[len(up) :]
-            return cp + cmap.get(norm, norm)
-        return eid
-
-    return canon
+# keyed-sum schemas: the key columns, then the summed column
+_EDGE_SUM = pa.schema(
+    [
+        ("subj", pa.string()),
+        ("pred", pa.string()),
+        ("obj", pa.string()),
+        ("conv_id", pa.string()),
+        ("turn_idx", pa.int32()),
+        ("weight", pa.int64()),
+    ]
+)
+_TRIPLE_SUM = pa.schema(
+    [("subj", pa.string()), ("pred", pa.string()), ("obj", pa.string()), ("weight", pa.int64())]
+)
+_NODE_SUM = pa.schema(
+    [
+        ("entity_id", pa.string()),
+        ("surface", pa.string()),
+        ("type", pa.string()),
+        ("freq", pa.int64()),
+    ]
+)
 
 
 def _canon_array(arr: pa.Array, canon) -> pa.Array:
@@ -75,7 +95,7 @@ def _edge_builder(cmap_ref):
         # cmap_ref=None -> identity explode (raw surface: ids kept) for the
         # over-budget regime, where canonicalization happens in a later
         # distributed shuffle apply
-        canon = None if cmap_ref is None else _canonicalizer(cached_get(cmap_ref))
+        canon = None if cmap_ref is None else partial(canonicalize_id, cmap=cached_get(cmap_ref))
         lst = t.column("triples")
         if isinstance(lst, pa.ChunkedArray):
             lst = lst.combine_chunks()
@@ -117,8 +137,6 @@ def materialize_edges(
     subj/obj -> one coarse-hash re-aggregate restoring per-turn key
     uniqueness (canonicalization can merge two raw triples of one turn).
     No worker ever holds the whole map; parity-tested vs broadcast."""
-    from .canon import CANON_BROADCAST_LIMIT, _apply_cmap_shuffle, canonical_map_dataset
-
     if broadcast_limit is None:
         broadcast_limit = CANON_BROADCAST_LIMIT
     if len(cmap) <= broadcast_limit:
@@ -134,92 +152,52 @@ def materialize_edges(
         batch_format="pyarrow", batch_size=None,
         zero_copy_batch=True,
     )
-    canoned = _apply_cmap_shuffle(raw, canonical_map_dataset(cmap), ["subj", "obj"])
-    edge_keys = ["subj", "pred", "obj", "conv_id", "turn_idx"]
+    return reaggregate_turn_edges(
+        _apply_cmap_shuffle(raw, canonical_map_dataset(cmap), ["subj", "obj"])
+    )
 
-    def partial(t: pa.Table) -> pa.Table:
-        g = t.group_by(edge_keys, use_threads=False).aggregate([("weight", "sum")])
-        g = g.rename_columns([*edge_keys, "weight"])
-        return g.append_column(
-            "__part", _string_key_part(g, ["subj", "pred", "obj", "conv_id"])
-        )
 
-    def final(t: pa.Table) -> pa.Table:
-        g = t.group_by(edge_keys, use_threads=False).aggregate([("weight", "sum")])
+def _keyed_sum(inputs: list[Dataset], schema: pa.Schema) -> Dataset:
+    """The one aggregate kernel of the KG tables: sum the last column of
+    ``schema`` per distinct key (the other columns) over the union of
+    ``inputs``. Each block first combines its own rows, so the ``__part``
+    exchange moves one row per distinct key per block (the partial/combiner
+    pattern the groupby guide prescribes for 100 TB inputs); the final sum
+    is a hash aggregate inside each part (SHUFFLE #3 of SURVEY.md §3.4)."""
+    *keys, value = schema.names
+
+    def keyed_sum(t: pa.Table) -> pa.Table:
+        g = t.group_by(keys, use_threads=False).aggregate([(value, "sum")])
         return pa.table(
-            {
-                **{k: g.column(k) for k in edge_keys},
-                "weight": pc.cast(g.column("weight_sum"), pa.int64()),
-            }
+            {**{k: g[k] for k in keys}, value: pc.cast(g[f"{value}_sum"], pa.int64())}
         )
 
-    return (
-        canoned.map_batches(partial, batch_format="pyarrow", batch_size=None)
-        .groupby("__part")
-        .map_groups(final, batch_format="pyarrow")
-    )
+    def combine(t: pa.Table) -> pa.Table:
+        g = keyed_sum(t)
+        return g.append_column("__part", part_ids(g, keys))
 
-
-_AGG_PARTS = 64
-
-
-def _string_key_part(t: pa.Table, keys: list[str], parts: int = _AGG_PARTS) -> pa.Array:
-    """Deterministic coarse partition id from string key columns (vectorized
-    polars hash — no per-row Python). The exchange then shuffles on ONE small
-    int column instead of sorting multi-string tuples, and the real
-    aggregation happens hash-based inside each partition."""
-    from ..util import polars_safe
-
-    pl = polars_safe()
-    df = pl.from_arrow(t.select(keys))
-    h = (
-        df.select(pl.concat_str([pl.col(k) for k in keys], separator="\x1f").hash(seed=7).alias("h"))["h"]
-        .to_numpy()
-        .astype(np.uint64)
-    )
-    return pa.array(((h >> np.uint64(33)) % np.uint64(parts)).astype(np.int64))
+    tagged = [
+        ds.map_batches(combine, batch_format="pyarrow", batch_size=None, zero_copy_batch=True)
+        for ds in inputs
+    ]
+    merged = tagged[0].union(*tagged[1:]) if len(tagged) > 1 else tagged[0]
+    return map_partitions(merged, "__part", keyed_sum, schema)
 
 
 def materialize_edges_agg(edges: Dataset) -> Dataset:
-    """Global triple weights: per-batch partial combine -> coarse
-    hash-partition exchange (int key) -> in-partition hash aggregate
-    (SHUFFLE #3 of SURVEY.md §3.4). A sort-based groupby on the three string
-    key columns was the round-1 shape; sorting 64 ints moves the same bytes
-    for a fraction of the compare cost (sf0.3/16cpus: 27.5s -> measured
-    below 10s for the whole chain)."""
-
-    def partial(t: pa.Table) -> pa.Table:
-        g = t.group_by(["subj", "pred", "obj"], use_threads=False).aggregate([("weight", "sum")])
-        g = g.rename_columns(["subj", "pred", "obj", "weight_sum"])
-        return g.append_column("__part", _string_key_part(g, ["subj", "pred", "obj"]))
-
-    def final(t: pa.Table) -> pa.Table:
-        g = t.group_by(["subj", "pred", "obj"], use_threads=False).aggregate(
-            [("weight_sum", "sum")]
-        )
-        return pa.table(
-            {
-                "subj": g.column("subj"),
-                "pred": g.column("pred"),
-                "obj": g.column("obj"),
-                "weight": pc.cast(g.column("weight_sum_sum"), pa.int64()),
-            }
-        )
-
-    return (
-        edges.map_batches(partial, batch_format="pyarrow", batch_size=None, zero_copy_batch=True)
-        .groupby("__part")
-        .map_groups(final, batch_format="pyarrow")
-    )
+    """Global triple weights (subj, pred, obj, weight): the keyed sum of the
+    per-turn edges. Partitioning on a coarse int key moves the same bytes as
+    a sort-based groupby on the three string columns for a fraction of the
+    compare cost (sf0.3/16cpus: 27.5s -> below 10s for the whole chain)."""
+    return _keyed_sum([edges], _TRIPLE_SUM)
 
 
 def _node_partial(cmap_ref):
     """Stateless task fn: nested mention rows -> per-batch partial node
-    counts (canonicalized, vectorized). The shuffle then only moves distinct
-    keys per batch — the partial/combiner pattern."""
+    counts (entity_id, surface, type, freq), canonicalized, vectorized."""
 
     def node_partial(t: pa.Table) -> pa.Table:
-        canon = None if cmap_ref is None else _canonicalizer(cached_get(cmap_ref))
+        canon = None if cmap_ref is None else partial(canonicalize_id, cmap=cached_get(cmap_ref))
         lst = t.column("mentions")
         if isinstance(lst, pa.ChunkedArray):
             lst = lst.combine_chunks()
@@ -228,155 +206,80 @@ def _node_partial(cmap_ref):
             {
                 "entity_id": _canon_array(flat.field("entity_id"), canon),
                 "surface": flat.field("surface"),
-                "entity_type": flat.field("entity_type"),
+                "type": flat.field("entity_type"),
             }
         )
-        g = exploded.group_by(
-            ["entity_id", "surface", "entity_type"], use_threads=False
-        ).aggregate([("entity_id", "count")])
+        g = exploded.group_by(["entity_id", "surface", "type"], use_threads=False).aggregate(
+            [("entity_id", "count")]
+        )
         return pa.table(
             {
                 "entity_id": g.column("entity_id"),
                 "surface": g.column("surface"),
-                "entity_type": g.column("entity_type"),
-                "n": pa.compute.cast(g.column("entity_id_count"), pa.int64()),
+                "type": g.column("type"),
+                "freq": pc.cast(g.column("entity_id_count"), pa.int64()),
             }
         )
 
     return node_partial
 
 
-def materialize_nodes(
-    extracted: Dataset, cmap: dict[str, str], broadcast_limit: int | None = None
-) -> Dataset:
-    """Extraction output -> node rows with per-surface frequencies. Same
-    coarse-hash-partition aggregate shape as materialize_edges_agg. Over
-    the canonical-map broadcast budget: identity partials -> distributed
-    shuffle apply on entity_id -> the same final aggregate (which already
-    re-merges rows the rewrite made equal)."""
-    from .canon import CANON_BROADCAST_LIMIT, _apply_cmap_shuffle, canonical_map_dataset
+def _node_rows(counts: Dataset) -> Dataset:
+    """Summed (entity_id, surface, type, freq) counts -> node rows: the bare
+    ``canonical`` norm is the entity id without its ``kind:`` prefix."""
 
-    if broadcast_limit is None:
-        broadcast_limit = CANON_BROADCAST_LIMIT
-    node_keys = ["entity_id", "surface", "entity_type"]
-
-    if len(cmap) > broadcast_limit:
-        raw = extracted.map_batches(
-            _node_partial(None),
-            batch_format="pyarrow", batch_size=None, zero_copy_batch=True,
-        )
-        applied = _apply_cmap_shuffle(
-            raw, canonical_map_dataset(cmap), ["entity_id"]
-        )
-
-        def part_col(t: pa.Table) -> pa.Table:
-            return t.append_column("__part", _string_key_part(t, node_keys))
-
-        def final_dist(t: pa.Table) -> pa.Table:
-            g = t.group_by(node_keys, use_threads=False).aggregate([("n", "sum")])
-            canonical = pc.replace_substring_regex(
-                g.column("entity_id"), pattern=r"^[a-z]+:", replacement=""
-            )
-            return pa.table(
-                {
-                    "entity_id": g.column("entity_id"),
-                    "surface": g.column("surface"),
-                    "canonical": canonical,
-                    "type": g.column("entity_type"),
-                    "freq": pc.cast(g.column("n_sum"), pa.int64()),
-                }
-            )
-
-        return (
-            applied.map_batches(part_col, batch_format="pyarrow", batch_size=None)
-            .groupby("__part")
-            .map_groups(final_dist, batch_format="pyarrow")
-        )
-
-    cmap_ref = ray.put(cmap)
-
-    base_partial = _node_partial(cmap_ref)
-
-    def partial(t: pa.Table) -> pa.Table:
-        g = base_partial(t)
-        return g.append_column("__part", _string_key_part(g, node_keys))
-
-    def final(t: pa.Table) -> pa.Table:
-        g = t.group_by(node_keys, use_threads=False).aggregate([("n", "sum")])
-        canonical = pc.replace_substring_regex(
-            g.column("entity_id"), pattern=r"^[a-z]+:", replacement=""
-        )
+    def rows(t: pa.Table) -> pa.Table:
         return pa.table(
             {
-                "entity_id": g.column("entity_id"),
-                "surface": g.column("surface"),
-                "canonical": canonical,
-                "type": g.column("entity_type"),
-                "freq": pc.cast(g.column("n_sum"), pa.int64()),
+                "entity_id": t["entity_id"],
+                "surface": t["surface"],
+                "canonical": pc.replace_substring_regex(
+                    t["entity_id"], pattern=r"^[a-z]+:", replacement=""
+                ),
+                "type": t["type"],
+                "freq": t["freq"],
             }
         )
 
-    return (
-        extracted.map_batches(partial, batch_format="pyarrow", batch_size=None, zero_copy_batch=True)
-        .groupby("__part")
-        .map_groups(final, batch_format="pyarrow")
-    )
+    return counts.map_batches(rows, batch_format="pyarrow", batch_size=None, zero_copy_batch=True)
+
+
+def materialize_nodes(
+    extracted: Dataset, cmap: dict[str, str], broadcast_limit: int | None = None
+) -> Dataset:
+    """Extraction output -> node rows with per-surface frequencies: the
+    keyed sum of per-batch mention counts. Over the canonical-map broadcast
+    budget the counts are taken on raw ids and the map is applied by a
+    distributed shuffle before the sum (which re-merges rows the rewrite
+    made equal)."""
+    if broadcast_limit is None:
+        broadcast_limit = CANON_BROADCAST_LIMIT
+    if len(cmap) > broadcast_limit:
+        counts = _apply_cmap_shuffle(
+            extracted.map_batches(
+                _node_partial(None), batch_format="pyarrow", batch_size=None, zero_copy_batch=True
+            ),
+            canonical_map_dataset(cmap),
+            ["entity_id"],
+        )
+    else:
+        counts = extracted.map_batches(
+            _node_partial(ray.put(cmap)),
+            batch_format="pyarrow", batch_size=None, zero_copy_batch=True,
+        )
+    return _node_rows(_keyed_sum([counts], _NODE_SUM))
 
 
 def merge_edges_agg(base_agg: Dataset, delta_edges: Dataset) -> Dataset:
     """Incremental KG update: fold a NEW batch of per-mention edges (a
     day's freshly-extracted conversations) into an existing aggregated
     triple table without rebuilding it — the continuously-updated-KG
-    compaction step (kg_sharded reprocesses only new shards; this merges
-    their output into the running aggregate). Returns the updated
+    compaction step that ``append_kg`` runs. Returns the updated
     (subj, pred, obj, weight) table; weights are additive, so
     merge(agg(A), B) == agg(A + B) exactly — the equivalence the value
-    oracle gates.
-
-    Scale shape: the delta pre-aggregates per block (materialize_edges_agg's
-    partial) and the base is ALREADY one row per triple, so the union meets
-    in the same coarse int-keyed hash exchange as SHUFFLE #3; the base never
-    re-aggregates per block, it only re-partitions."""
-
-    def delta_partial(t: pa.Table) -> pa.Table:
-        g = t.group_by(["subj", "pred", "obj"], use_threads=False).aggregate(
-            [("weight", "sum")]
-        )
-        g = g.rename_columns(["subj", "pred", "obj", "weight_sum"])
-        return g.append_column("__part", _string_key_part(g, ["subj", "pred", "obj"]))
-
-    def base_partial(t: pa.Table) -> pa.Table:
-        g = pa.table(
-            {
-                "subj": t["subj"],
-                "pred": t["pred"],
-                "obj": t["obj"],
-                "weight_sum": pc.cast(t["weight"], pa.int64()),
-            }
-        )
-        return g.append_column("__part", _string_key_part(g, ["subj", "pred", "obj"]))
-
-    def final(t: pa.Table) -> pa.Table:
-        g = t.group_by(["subj", "pred", "obj"], use_threads=False).aggregate(
-            [("weight_sum", "sum")]
-        )
-        return pa.table(
-            {
-                "subj": g.column("subj"),
-                "pred": g.column("pred"),
-                "obj": g.column("obj"),
-                "weight": pc.cast(g.column("weight_sum_sum"), pa.int64()),
-            }
-        )
-
-    merged = base_agg.map_batches(
-        base_partial, batch_format="pyarrow", batch_size=None, zero_copy_batch=True
-    ).union(
-        delta_edges.map_batches(
-            delta_partial, batch_format="pyarrow", batch_size=None, zero_copy_batch=True
-        )
-    )
-    return merged.groupby("__part").map_groups(final, batch_format="pyarrow")
+    oracle gates. The base is already one row per triple, so its blocks
+    only re-partition into the same exchange as ``materialize_edges_agg``."""
+    return _keyed_sum([base_agg, delta_edges], _TRIPLE_SUM)
 
 
 def merge_nodes_agg(base_nodes: Dataset, delta_nodes: Dataset) -> Dataset:
@@ -384,37 +287,8 @@ def merge_nodes_agg(base_nodes: Dataset, delta_nodes: Dataset) -> Dataset:
     delta's (entity_id, surface, canonical, type, freq) rows into the base
     aggregate. Frequencies are additive, so merge(nodes(A), nodes(B)) ==
     nodes(A + B) exactly when both sides were materialized under the SAME
-    canonical map (append_kg remaps the base first when the map drifted).
-    Same coarse int-keyed hash exchange as materialize_nodes."""
-    node_keys = ["entity_id", "surface", "type"]
-
-    def partial(t: pa.Table) -> pa.Table:
-        g = t.select([*node_keys, "freq"])
-        return g.append_column("__part", _string_key_part(g, node_keys))
-
-    def final(t: pa.Table) -> pa.Table:
-        g = t.group_by(node_keys, use_threads=False).aggregate([("freq", "sum")])
-        canonical = pc.replace_substring_regex(
-            g.column("entity_id"), pattern=r"^[a-z]+:", replacement=""
-        )
-        return pa.table(
-            {
-                "entity_id": g.column("entity_id"),
-                "surface": g.column("surface"),
-                "canonical": canonical,
-                "type": g.column("type"),
-                "freq": pc.cast(g.column("freq_sum"), pa.int64()),
-            }
-        )
-
-    merged = base_nodes.map_batches(
-        partial, batch_format="pyarrow", batch_size=None, zero_copy_batch=True
-    ).union(
-        delta_nodes.map_batches(
-            partial, batch_format="pyarrow", batch_size=None, zero_copy_batch=True
-        )
-    )
-    return merged.groupby("__part").map_groups(final, batch_format="pyarrow")
+    canonical map (append_kg remaps the base first when the map drifted)."""
+    return _node_rows(_keyed_sum([base_nodes, delta_nodes], _NODE_SUM))
 
 
 def remap_canonical_ids(ds: Dataset, remap: dict[str, str], columns: list[str]) -> Dataset:
@@ -460,31 +334,8 @@ def remap_canonical_ids(ds: Dataset, remap: dict[str, str], columns: list[str]) 
 
 def reaggregate_turn_edges(edges: Dataset) -> Dataset:
     """Restore per-(subj, pred, obj, conv_id, turn_idx) key uniqueness after a
-    canonical remap merged two of one turn's triples (same kernel as the
-    over-budget path of materialize_edges)."""
-    edge_keys = ["subj", "pred", "obj", "conv_id", "turn_idx"]
-
-    def partial(t: pa.Table) -> pa.Table:
-        g = t.group_by(edge_keys, use_threads=False).aggregate([("weight", "sum")])
-        g = g.rename_columns([*edge_keys, "weight"])
-        return g.append_column(
-            "__part", _string_key_part(g, ["subj", "pred", "obj", "conv_id"])
-        )
-
-    def final(t: pa.Table) -> pa.Table:
-        g = t.group_by(edge_keys, use_threads=False).aggregate([("weight", "sum")])
-        return pa.table(
-            {
-                **{k: g.column(k) for k in edge_keys},
-                "weight": pc.cast(g.column("weight_sum"), pa.int64()),
-            }
-        )
-
-    return (
-        edges.map_batches(partial, batch_format="pyarrow", batch_size=None, zero_copy_batch=True)
-        .groupby("__part")
-        .map_groups(final, batch_format="pyarrow")
-    )
+    canonical rewrite merged two of one turn's triples."""
+    return _keyed_sum([edges], _EDGE_SUM)
 
 
 def incremental_update_by_conv(

@@ -71,26 +71,3 @@ def polars_safe():
             _t.sleep(0.05)
     raise last  # pragma: no cover
 
-
-def map_partitions(ds, key, fn, empty_schema, batch_format: str = "pyarrow"):
-    """``groupby(key).map_groups(fn)`` for UDFs that tolerate receiving
-    several COMPLETE key-groups in one call — which every coarse
-    ``__part``-keyed partition UDF in this repo does (each sorts/segments by
-    its real key internally; co-location per key is the only contract).
-
-    Same exchange as map_groups (a range-partitioned sort on ``key``
-    co-locates equal keys in one output block), but the UDF runs once per
-    BLOCK instead of once per group — fewer Python invocations — and empty
-    sort partitions return a TYPED empty table instead of the schema-less
-    empty bundle Ray's map_groups emits (the executor's "produced a
-    RefBundle with a different schema … new schema: ." warning)."""
-
-    def apply_block(t):
-        if t.num_rows == 0:
-            return empty_schema.empty_table()
-        return fn(t)
-
-    apply_block.__name__ = getattr(fn, "__name__", "map_partitions")
-    return ds.sort(key).map_batches(
-        apply_block, batch_format=batch_format, batch_size=None
-    )

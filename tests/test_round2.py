@@ -307,6 +307,29 @@ def test_canon_distributed_path_equals_driver_path():
     assert driver_map  # non-trivial clusters exist
 
 
+def test_canon_max_pairs_raises_instead_of_truncating():
+    # past driver_threshold the verified edge list is collected up to
+    # max_pairs; more pairs than that must stop the build, never drop edges
+    import ray.data as rd
+
+    from chunksilo_ray.stages import canon
+
+    surfaces = ["flumetrics", "flu-metrics", "flumetric", "zorpdash", "zorp-dash",
+                "quxbase", "qux-base"]
+    t = pa.table(
+        {
+            "norm": pa.array(surfaces, pa.string()),
+            "known": pa.array([False] * len(surfaces), pa.bool_()),
+        }
+    )
+    driver_map = canon.build_canonical_map(rd.from_arrow(t))
+    assert driver_map
+    big = canon.build_canonical_map(rd.from_arrow(t), driver_threshold=0, max_pairs=10_000)
+    assert big == driver_map
+    with pytest.raises(ValueError, match="canon.max_pairs=1"):
+        canon.build_canonical_map(rd.from_arrow(t), driver_threshold=0, max_pairs=1)
+
+
 # ---------------------------------------------------------------------------
 # per-row wall-clock budget in the extraction kernel
 

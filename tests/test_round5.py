@@ -198,17 +198,19 @@ def test_materialize_cmap_gate_parity():
 
 
 def test_apply_canonical_map_gate_parity():
-    from chunksilo_ray.stages.canon import apply_canonical_map
+    # the distributed shuffle apply rewrites every id exactly as the
+    # broadcast path's per-id rewrite (canonicalize_id) does
+    from chunksilo_ray.stages.canon import (
+        _apply_cmap_shuffle,
+        canonical_map_dataset,
+        canonicalize_id,
+    )
 
     cmap = {"a b": "ab", "x": "ab"}
-    t = pa.table(
-        {
-            "id": pa.array(["surface:a b", "surface:x", "surface:zz", "ent:k", "other"]),
-            "v": pa.array([1, 2, 3, 4, 5]),
-        }
-    )
+    ids = ["surface:a b", "surface:x", "surface:zz", "ent:k", "other"]
+    t = pa.table({"id": pa.array(ids), "v": pa.array([1, 2, 3, 4, 5])})
     ds = rd.from_arrow(t).repartition(2)
-    b = _df(apply_canonical_map(ds, cmap, ["id"]))
-    s = _df(apply_canonical_map(ds, cmap, ["id"], broadcast_limit=0))
-    pd.testing.assert_frame_equal(b, s)
-    assert set(b["id"]) == {"ent:ab", "ent:zz", "ent:k", "other"}
+    s = _df(_apply_cmap_shuffle(ds, canonical_map_dataset(cmap), ["id"])).sort_values("v")
+    assert list(s["v"]) == [1, 2, 3, 4, 5]
+    assert list(s["id"]) == [canonicalize_id(i, cmap) for i in ids]
+    assert set(s["id"]) == {"ent:ab", "ent:zz", "ent:k", "other"}
