@@ -24,6 +24,7 @@ import json
 import pathlib
 import shutil
 from concurrent.futures import ThreadPoolExecutor
+from functools import partial
 
 import pyarrow as pa
 import pyarrow.compute as pc
@@ -65,47 +66,13 @@ class ScanStats:
         self.norms = norms
         self.convs = convs
 
-
-def scan_extracted_stats(extracted, collect_convs: bool = False):
-    """Returns a zero-arg callable (pool-submittable) running ONE streaming
-    pass over the extracted dataset that collects, as a tagged union of
-    per-block partials: the dead-letter count (kind=0), the distinct unknown
-    norms (kind=1, vocabulary-bounded by construction), and optionally the
-    per-block distinct conv_ids (kind=2) for the incremental manifest. Dead
-    rows stay on the workers (``write_ingest_state`` writes them block by
-    block), so driver memory is O(norm vocab + #convs)."""
-    import pyarrow as _pa
-    import pyarrow.compute as _pc
-
-    from ..stages.canon import batch_distinct_unknown_norms
-
-    def _flat(a):
-        return a.combine_chunks() if isinstance(a, _pa.ChunkedArray) else a
-
-    def _partial(t):
-        n_err = int(t.num_rows - t.column("error").null_count)
-        norms = _flat(batch_distinct_unknown_norms(t).column("norm"))
-        kinds = [0] + [1] * len(norms)
-        s_parts = [_pa.array([None], _pa.string()), norms]
-        if collect_convs:
-            convs = _flat(_pc.unique(t.column("conv_id")))
-            kinds += [2] * len(convs)
-            s_parts.append(convs)
-        return _pa.table(
-            {
-                "kind": _pa.array(kinds, _pa.int8()),
-                "n_err": _pa.array([n_err] + [0] * (len(kinds) - 1), _pa.int64()),
-                "s": _pa.concat_arrays([_flat(a) for a in s_parts]),
-            }
-        )
-
-    def run() -> ScanStats:
+    @classmethod
+    def of(cls, partials) -> "ScanStats":
+        """Combine ``scan_partial`` tables."""
         total = 0
         norms: set = set()
         convs: set = set()
-        for b in extracted.map_batches(
-            _partial, batch_format="pyarrow", batch_size=None, zero_copy_batch=True
-        ).iter_batches(batch_format="pyarrow"):
+        for b in partials:
             kinds = b["kind"].to_pylist()
             total += int(sum(n for k, n in zip(kinds, b["n_err"].to_pylist()) if k == 0))
             for k, s in zip(kinds, b["s"].to_pylist()):
@@ -113,7 +80,52 @@ def scan_extracted_stats(extracted, collect_convs: bool = False):
                     norms.add(s)
                 elif k == 2:
                     convs.add(s)
-        return ScanStats(total, norms, convs)
+        return cls(total, norms, convs)
+
+
+def _flat(a):
+    return a.combine_chunks() if isinstance(a, pa.ChunkedArray) else a
+
+
+def scan_partial(t: pa.Table, collect_convs: bool) -> pa.Table:
+    """One extracted block's scan result as a tagged union of rows: the
+    dead-letter count (kind=0), the distinct unknown norms (kind=1), and
+    optionally the distinct conv_ids (kind=2)."""
+    from ..stages.canon import batch_distinct_unknown_norms
+
+    n_err = int(t.num_rows - t.column("error").null_count)
+    norms = _flat(batch_distinct_unknown_norms(t).column("norm"))
+    kinds = [0] + [1] * len(norms)
+    s_parts = [pa.array([None], pa.string()), norms]
+    if collect_convs:
+        convs = _flat(pc.unique(t.column("conv_id")))
+        kinds += [2] * len(convs)
+        s_parts.append(convs)
+    return pa.table(
+        {
+            "kind": pa.array(kinds, pa.int8()),
+            "n_err": pa.array([n_err] + [0] * (len(kinds) - 1), pa.int64()),
+            "s": pa.concat_arrays([_flat(a) for a in s_parts]),
+        }
+    )
+
+
+def scan_extracted_stats(extracted, collect_convs: bool = False):
+    """Returns a zero-arg callable (pool-submittable) running ONE streaming
+    pass over the extracted dataset that collects, per block, the
+    ``scan_partial`` rows: the dead-letter count, the distinct unknown norms
+    (vocabulary-bounded by construction), and optionally the conv_ids for
+    the incremental manifest. Dead rows stay on the workers
+    (``write_ingest_state`` writes them block by block), so driver memory
+    is O(norm vocab + #convs)."""
+
+    def run() -> ScanStats:
+        return ScanStats.of(
+            extracted.map_batches(
+                partial(scan_partial, collect_convs=collect_convs),
+                batch_format="pyarrow", batch_size=None, zero_copy_batch=True,
+            ).iter_batches(batch_format="pyarrow")
+        )
 
     return run
 
@@ -136,7 +148,8 @@ def write_ingest_state(
     (``build`` or ``append-<fp8>``) of each table: the dead-letter rows of
     ``extracted`` under out/dead_letter/<tag>/ (the explicit-policy export
     of extractor-failed rows, SURVEY.md §4 — only when there are any; one
-    write task per block, so the rows never reach the driver), and, when
+    write task per block of a Dataset, so the rows never reach the driver;
+    a small append passes its one in-process Table), and, when
     ``norms`` is given (incremental tracking on), the scan's conv ids as
     out/state/conv_ids/part-<tag>.parquet plus ``norms`` as
     out/state/distinct_norms.parquet."""
@@ -144,14 +157,17 @@ def write_ingest_state(
         dest = out / "dead_letter" / tag
         shutil.rmtree(dest, ignore_errors=True)  # left by a killed attempt
         dest.mkdir(parents=True)
-        _write_blocks(
-            extracted.map_batches(
-                _dead_letter_rows, batch_format="pyarrow", batch_size=None,
-                zero_copy_batch=True,
-            ),
-            dest,
-            "part-",
-        )
+        if isinstance(extracted, pa.Table):
+            pq.write_table(_dead_letter_rows(extracted), dest / "part-000000.parquet")
+        else:
+            _write_blocks(
+                extracted.map_batches(
+                    _dead_letter_rows, batch_format="pyarrow", batch_size=None,
+                    zero_copy_batch=True,
+                ),
+                dest,
+                "part-",
+            )
     if norms is not None:
         state = out / "state"
         (state / "conv_ids").mkdir(parents=True, exist_ok=True)

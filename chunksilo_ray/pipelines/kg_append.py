@@ -5,24 +5,34 @@ The Ray-Data analog of the reference's mtime/hash-incremental reindex
 deleted, re-embed only the changed files) at CONVERSATION granularity:
 
     append_kg(out_dir, new_day.parquet)
-      1. membership check  — the new file's conv_ids are a small set; it is
-         broadcast against the persisted conv-id manifest (out/state/) so
-         already-ingested conversations are skipped WITHOUT the manifest
-         ever being collected whole (scale direction: small side broadcast,
-         big side streams).
-      2. delta extract     — assemble + link_extract over the new
-         conversations only, checkpointed under out/append/<batch_fp>/ so a
-         killed append resumes.
+      1. membership check  — the new input's conv_ids are a small set; one
+         task per file of the persisted conv-id manifest (out/state/)
+         filters that file against them, so already-ingested conversations
+         are skipped WITHOUT the manifest ever being collected whole (scale
+         direction: small side broadcast, big side streams).
+      2. delta extract     — over the new conversations only, checkpointed
+         under out/append/<batch_fp>/ so a killed append resumes. A small
+         delta (at most SMALL_DELTA_ROWS input rows, read from the Parquet
+         footers) is read, assembled and extracted by ONE task with the
+         build's kernels; a larger one runs assemble_dialogues +
+         link_extract as the build does.
       3. canonical extend  — rebuild the canonical map over the UNION of the
          persisted distinct norms and the delta's (vocabulary-bounded, the
          same cost class as the original build's map step). Drift on old
          norms is monotone (union-find only merges), expressed as a tiny
          {old_canonical -> new_canonical} remap applied to the base tables;
          a non-merge drift (LSH cap artifact) fails loud (CanonicalDriftError).
-      4. fold              — edges: base parts kept (remapped only on drift)
-         + delta parts; edges_agg: merge_edges_agg; nodes: merge_nodes_agg.
-         All folds meet in the same coarse int-keyed hash exchange as the
-         build's SHUFFLE #3.
+      4. fold              — small delta, no drift: the delta's edges, sums
+         and counts are computed in process; its per-turn edges become
+         extra edges parts, and its per-key sums fold into edges_agg /
+         nodes WITHOUT an exchange (each holds every key once: one task per
+         base part adds the matching sums, the new keys become one extra
+         part, and the new version is swapped in whole). Otherwise: edges
+         base parts kept (remapped on drift) + delta parts; edges_agg:
+         merge_edges_agg; nodes: merge_nodes_agg of the delta's per-batch
+         counts — each one pass through the build's SHUFFLE #3 exchange.
+      5. state update      — the delta's conv ids, dead letters and the norm
+         union, the new canonical map, then build_info.json.
 
 Invariant (gated in tests/test_round5c.py): append(A, B) produces byte-equal
 edges_agg / nodes / edges tables to a one-shot rebuild over A + B, because
@@ -33,32 +43,43 @@ all aggregates are additive.
 from __future__ import annotations
 
 import json
+import os
 import pathlib
+from functools import partial
 
+import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
+import pyarrow.dataset as pads
 import pyarrow.parquet as pq
 import ray
 import ray.data as rd
-from ray.data import Dataset
 
 from ..config import Config
-from ..stages.assemble import assemble_dialogues
+from ..stages.assemble import assemble_dialogues, assemble_table
 from ..stages.canon import (
     CanonicalDriftError,
     build_canonical_map,
     canonical_remap,
+    canonicalize_id,
     load_canonical_map,
     save_canonical_map,
 )
-from ..stages.link import link_extract
+from ..stages.link import extract_table, link_extract
 from ..stages.materialize import (
+    _NODE_SUM,
+    _TRIPLE_SUM,
+    fold_keyed_sum,
     materialize_edges,
-    materialize_nodes,
+    mention_counts,
     merge_edges_agg,
     merge_nodes_agg,
+    node_counts,
+    node_rows,
     reaggregate_turn_edges,
     remap_canonical_ids,
+    sum_by_key,
+    turn_edges,
 )
 from ..state.manifest import (
     StageCheckpoint,
@@ -66,53 +87,103 @@ from ..state.manifest import (
     fingerprint,
     input_fingerprint,
 )
-from .kg import scan_extracted_stats, void_scan_record, write_ingest_state
+from .kg import (
+    ScanStats,
+    scan_extracted_stats,
+    scan_partial,
+    void_scan_record,
+    write_ingest_state,
+)
 
 __all__ = ["append_kg", "CanonicalDriftError"]
 
+# Appends of at most this many input rows (Parquet footer counts) extract
+# the delta in one task and fold it into edges_agg / nodes without an
+# exchange. Sized from the measured crossover: the one-task delta side
+# costs ~38 us per turn, the Ray Data executions it replaces ~0.8 s
+# whatever the delta size, and 0.8 s / 38 us ~ 21k turns (DESIGN.md
+# "Small-delta append").
+SMALL_DELTA_ROWS = 20_000
 
-def _filter_new_convs(new_ds: Dataset, conv_manifest_dir: str) -> tuple[Dataset, set, set]:
-    """Membership check. Returns (filtered dataset, new conv set, skipped
-    conv set). The DELTA conv set is the broadcast side (a day's batch —
-    small); the persisted manifest streams through a filter, so nothing
-    manifest-sized ever lands on the driver or a single worker."""
-    delta_convs: set[str] = set()
-    for b in new_ds.select_columns(["conv_id"]).iter_batches(batch_format="pyarrow"):
-        delta_convs.update(pc.unique(b["conv_id"]).to_pylist())
 
-    delta_ref = ray.put(pa.array(sorted(delta_convs), pa.string()))
+def _input_files(path: str) -> list[str]:
+    """The Parquet files of an input file or directory."""
+    return sorted(pads.dataset(path, format="parquet").files)
 
-    def _hits(t: pa.Table) -> pa.Table:
-        from ..util import cached_get
 
-        want = cached_get(delta_ref)
-        return t.filter(pc.is_in(t["conv_id"], value_set=want))
+@ray.remote
+def _conv_hits(path: str, convs: pa.Array) -> list[str]:
+    t = pq.read_table(path, columns=["conv_id"])
+    return t.filter(pc.is_in(t["conv_id"], value_set=convs))["conv_id"].to_pylist()
 
-    skipped: set[str] = set()
-    manifest = rd.read_parquet(conv_manifest_dir).map_batches(
-        _hits, batch_format="pyarrow", batch_size=None, zero_copy_batch=True
+
+def _ingested(conv_manifest_dir: pathlib.Path, convs: set) -> set:
+    """Membership check: which of ``convs`` (the delta's conv ids, a day's
+    batch — small) the persisted conv-id manifest already holds. One task
+    per manifest file filters it against the broadcast delta set, so
+    nothing manifest-sized ever lands on the driver."""
+    want = ray.put(pa.array(sorted(convs), pa.string()))
+    hits = ray.get(
+        [_conv_hits.remote(str(f), want) for f in sorted(conv_manifest_dir.glob("*.parquet"))]
     )
-    for b in manifest.iter_batches(batch_format="pyarrow"):
-        skipped.update(b["conv_id"].to_pylist())
+    return {c for h in hits for c in h}
 
-    new_convs = delta_convs - skipped
-    if not new_convs:
-        return None, new_convs, skipped
-    if not skipped:
-        return new_ds, new_convs, skipped
-    keep_ref = ray.put(pa.array(sorted(new_convs), pa.string()))
 
-    def _keep(t: pa.Table) -> pa.Table:
-        from ..util import cached_get
+def _keep_convs(t: pa.Table, skipped: pa.Array) -> pa.Table:
+    return t.filter(pc.invert(pc.is_in(t["conv_id"], value_set=skipped)))
 
-        want = cached_get(keep_ref)
-        return t.filter(pc.is_in(t["conv_id"], value_set=want))
 
-    return (
-        new_ds.map_batches(_keep, batch_format="pyarrow", batch_size=None, zero_copy_batch=True),
-        new_convs,
-        skipped,
+@ray.remote
+def _extract_delta(
+    files: list[str], skipped: pa.Array, alias: list, max_ngram: int, per_row_seconds: float
+) -> pa.Table:
+    """The whole delta side of a small append in one task: read the new
+    files, drop the skipped conversations, then assemble (one conv-hash
+    part, one block) and extract in process. ``alias`` holds the alias
+    table's ref (inside a list, so Ray passes the ref itself and the
+    worker's alias-index memo keys on it)."""
+    t = _keep_convs(pa.concat_tables([pq.read_table(f) for f in files]), skipped)
+    return extract_table(assemble_table(t), alias[0], max_ngram, per_row_seconds)
+
+
+@ray.remote
+def _fold_part(src: str, dst: str, delta: pa.Table, schema: pa.Schema):
+    merged, matched = fold_keyed_sum(pq.read_table(src), delta, schema)
+    pq.write_table(merged, dst)
+    return merged.num_rows, os.stat(dst).st_size, matched
+
+
+def _fold_small(ckpt: StageCheckpoint, delta: pa.Table, schema: pa.Schema, tag: str) -> None:
+    """Exchange-free merge of a small keyed ``delta`` into the keyed-sum
+    checkpoint ``ckpt``, which holds each key once: one task per base part
+    adds the matching delta rows and writes the merged part next to the
+    table; the delta rows no part matched (new keys) become one extra part,
+    in the base's schema. The new version is swapped in whole once every
+    file is written (``StageCheckpoint.commit``). A checkpoint already at
+    ``ckpt.fp`` holds the delta: nothing is done."""
+    if ckpt.complete():
+        return
+    base = ckpt.manifest()
+    staged = ckpt.staging_dir()
+    delta_ref = ray.put(delta)
+    files = [p["file"] for p in base["parts"]]
+    results = ray.get(
+        [_fold_part.remote(str(ckpt.dir / f), str(staged / f), delta_ref, schema) for f in files]
     )
+    matched = np.zeros(delta.num_rows, bool)
+    parts = []
+    for f, (rows, nbytes, hit) in zip(files, results):
+        parts.append({"file": f, "rows": rows, "bytes": nbytes})
+        matched |= hit
+    new_keys = delta.filter(pa.array(~matched))
+    if new_keys.num_rows:
+        if files:
+            target = pq.read_schema(ckpt.dir / files[0])
+            new_keys = new_keys.select(target.names).cast(target)
+        path = staged / f"part-{tag}-000000.parquet"
+        pq.write_table(new_keys, path)
+        parts.append({"file": path.name, "rows": new_keys.num_rows, "bytes": path.stat().st_size})
+    ckpt.commit(staged, parts, base.get("metrics"))
 
 
 def append_kg(
@@ -146,9 +217,23 @@ def append_kg(
     alias_path = alias_path or info["alias_path"]
 
     # ---- 1. membership check -------------------------------------------------
-    new_ds = rd.read_parquet(new_transcripts)
-    delta, new_convs, skipped = _filter_new_convs(new_ds, str(state / "conv_ids"))
-    if delta is None:
+    # the size gate reads Parquet footers only: it starts no execution
+    files = _input_files(new_transcripts)
+    small = sum(pq.read_metadata(f).num_rows for f in files) <= SMALL_DELTA_ROWS
+    if small:
+        delta_convs = set(
+            pc.unique(pa.concat_tables(
+                [pq.read_table(f, columns=["conv_id"]) for f in files]
+            )["conv_id"]).to_pylist()
+        )
+    else:
+        new_ds = rd.read_parquet(new_transcripts)
+        delta_convs = set()
+        for b in new_ds.select_columns(["conv_id"]).iter_batches(batch_format="pyarrow"):
+            delta_convs.update(pc.unique(b["conv_id"]).to_pylist())
+    skipped = _ingested(state / "conv_ids", delta_convs)
+    new_convs = delta_convs - skipped
+    if not new_convs:
         return {
             "edges": None,
             "edges_agg": None,
@@ -159,6 +244,7 @@ def append_kg(
                 "noop": True,
             },
         }
+    skipped_arr = pa.array(sorted(skipped), pa.string())
 
     # ---- 2. delta assemble + extract (resumable per append batch) ------------
     code_fp = code_fingerprint(str(pathlib.Path(__file__).resolve().parents[1]))
@@ -167,14 +253,33 @@ def append_kg(
     )
     batch_root = str(out / "append" / batch_fp)
     link_cfg = cfg.section("linking")
-    asm_ckpt = StageCheckpoint(batch_root, "assembled", fingerprint(batch_fp, "assemble"))
-    assembled = asm_ckpt.run(lambda: assemble_dialogues(delta))
     ext_ckpt = StageCheckpoint(batch_root, "extracted", fingerprint(batch_fp, "extract"))
     alias_table = pq.read_table(alias_path)
-    extracted = ext_ckpt.run(
-        lambda: link_extract(assembled, ray.put(alias_table), **link_cfg)
-    )
-    stats = scan_extracted_stats(extracted, collect_convs=True)()
+    if small:
+        # one task, no exchange: the delta fits one process
+        def extract_in_one_task():
+            ref = _extract_delta.remote(
+                files, skipped_arr, [ray.put(alias_table)],
+                link_cfg["max_ngram"], link_cfg["per_row_seconds"],
+            )
+            return rd.from_arrow_refs([ref])
+
+        extracted = ext_ckpt.run(extract_in_one_task)
+        delta_t = pa.concat_tables(ray.get(list(extracted.to_arrow_refs())))
+        stats = ScanStats.of([scan_partial(delta_t, collect_convs=True)])
+    else:
+        delta = new_ds
+        if skipped:
+            delta = new_ds.map_batches(
+                partial(_keep_convs, skipped=skipped_arr),
+                batch_format="pyarrow", batch_size=None, zero_copy_batch=True,
+            )
+        asm_ckpt = StageCheckpoint(batch_root, "assembled", fingerprint(batch_fp, "assemble"))
+        assembled = asm_ckpt.run(lambda: assemble_dialogues(delta))
+        extracted = ext_ckpt.run(
+            lambda: link_extract(assembled, ray.put(alias_table), **link_cfg)
+        )
+        stats = scan_extracted_stats(extracted, collect_convs=True)()
 
     # ---- 3. canonical map extension + drift remap ----------------------------
     canon_cfg = cfg.section("canon")
@@ -196,38 +301,49 @@ def append_kg(
     # build_kg's scan record describes: a rerun of the build must rescan
     void_scan_record(out)
     new_cmap_fp = fingerprint(info["cmap_fp"], batch_fp, sorted(canon_cfg.items()))
-    # consumed twice each (edge fold + agg merge / node merge): pin once
-    delta_edges = materialize_edges(extracted, new_map).materialize()
-    delta_nodes = materialize_nodes(extracted, new_map)
-
+    tag = batch_fp[:8]
     edges_fp = fingerprint(info["edges_fp"], batch_fp, "edges+append")
     edges_ckpt = StageCheckpoint(str(out), "edges", edges_fp)
-    if remap:
-        # drift: the base tables reference merged-away canonicals — rewrite
-        # them (tiny broadcast, dictionary-encoded) and restore per-turn key
-        # uniqueness, then write a fresh checkpoint from base' + delta
-        base_edges = remap_canonical_ids(edges_ckpt.read(), remap, ["subj", "obj"])
-        edges_ckpt.run(lambda: reaggregate_turn_edges(base_edges.union(delta_edges)))
-        base_agg = remap_canonical_ids(
-            rd.read_parquet(str(out / "edges_agg")), remap, ["subj", "obj"]
-        )
-        base_nodes = remap_canonical_ids(
-            rd.read_parquet(str(out / "nodes")), remap, ["entity_id", "canonical"]
-        )
-    else:
-        edges_ckpt.append_parts(delta_edges, batch_fp[:8], edges_fp)
-        base_agg = rd.read_parquet(str(out / "edges_agg"))
-        base_nodes = rd.read_parquet(str(out / "nodes"))
-
     agg_fp = fingerprint(info["edges_agg_fp"], batch_fp, "edges_agg+append")
     edges_agg_ckpt = StageCheckpoint(str(out), "edges_agg", agg_fp)
-    edges_agg_ckpt.run(lambda: merge_edges_agg(base_agg, delta_edges))
     nodes_fp = fingerprint(info["nodes_fp"], batch_fp, "nodes+append")
     nodes_ckpt = StageCheckpoint(str(out), "nodes", nodes_fp)
-    nodes_ckpt.run(lambda: merge_nodes_agg(base_nodes, delta_nodes))
+    path = "small" if small and not remap else "exchange"
+    if path == "small":
+        # the delta's rows and aggregates are computed in process; each base
+        # aggregate already holds every key once, so the delta's per-key
+        # sums fold into its parts where they lie
+        canon = partial(canonicalize_id, cmap=new_map)
+        delta_edges = turn_edges(delta_t, canon)
+        edges_ckpt.append_parts(rd.from_arrow(delta_edges), tag, edges_fp)
+        _fold_small(edges_agg_ckpt, sum_by_key(delta_edges, _TRIPLE_SUM), _TRIPLE_SUM, tag)
+        _fold_small(
+            nodes_ckpt, node_rows(sum_by_key(mention_counts(delta_t, canon), _NODE_SUM)),
+            _NODE_SUM, tag,
+        )
+    else:
+        # consumed twice (edge fold + agg merge): pin once
+        delta_edges = materialize_edges(extracted, new_map).materialize()
+        base_agg = rd.read_parquet(str(out / "edges_agg"))
+        base_nodes = rd.read_parquet(str(out / "nodes"))
+        if remap:
+            # drift: the base tables reference merged-away canonicals —
+            # rewrite them (tiny broadcast, dictionary-encoded) and restore
+            # per-turn key uniqueness, then write a fresh checkpoint from
+            # base' + delta
+            base_edges = remap_canonical_ids(edges_ckpt.read(), remap, ["subj", "obj"])
+            edges_ckpt.run(lambda: reaggregate_turn_edges(base_edges.union(delta_edges)))
+            base_agg = remap_canonical_ids(base_agg, remap, ["subj", "obj"])
+            base_nodes = remap_canonical_ids(base_nodes, remap, ["entity_id", "canonical"])
+        else:
+            edges_ckpt.append_parts(delta_edges, tag, edges_fp)
+        edges_agg_ckpt.run(lambda: merge_edges_agg(base_agg, delta_edges))
+        nodes_ckpt.run(lambda: merge_nodes_agg(base_nodes, node_counts(extracted, new_map)))
 
     # ---- 5. state update (same shape build_kg wrote) --------------------------
-    write_ingest_state(out, f"append-{batch_fp[:8]}", stats, extracted, union_norms)
+    write_ingest_state(
+        out, f"append-{tag}", stats, delta_t if small else extracted, union_norms
+    )
     save_canonical_map(out, new_map, new_cmap_fp)
     info["cmap_fp"] = new_cmap_fp
     info["edges_fp"] = edges_fp
@@ -240,6 +356,7 @@ def append_kg(
             "new_convs": len(new_convs),
             "skipped_existing_convs": len(skipped),
             "drifted_clusters": len(remap),
+            "path": path,
         }
     )
     info_path.write_text(json.dumps(info, indent=1))
@@ -254,6 +371,7 @@ def append_kg(
         "edges_agg": (edges_agg_ckpt.manifest() or {}).get("rows"),
         "nodes": (nodes_ckpt.manifest() or {}).get("rows"),
         "canonical_merges": len(new_map),
+        "path": path,
         "noop": False,
     }
     return {

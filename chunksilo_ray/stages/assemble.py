@@ -170,6 +170,12 @@ def _attach_block(block, *parts: pa.Table) -> pa.Table:
     return out.select(ASSEMBLED_COLUMNS)
 
 
+def assemble_table(t: pa.Table) -> pa.Table:
+    """In-process assembly of one table that holds whole conversations: the
+    co-partitioned attach with one part and one block, no exchange."""
+    return _attach_block(t, _reduce_route_part(1, _split_lengths_keyed(t, 0, 1)))
+
+
 def assemble_dialogues(turns: Dataset) -> Dataset:
     """The KG pipeline's assembly stage (SURVEY.md §3.4). Returns per-turn
     rows with ``conv_n_turns`` and ``doc_char_start`` (offset of the turn

@@ -127,6 +127,14 @@ def _worker_alias_index(alias_ref, max_ngram: int) -> AliasIndex:
     return idx
 
 
+def extract_table(
+    t: pa.Table, alias_ref, max_ngram: int = 3, per_row_seconds: float = 5.0
+) -> pa.Table:
+    """``extract_batch`` with this worker's alias index and token memo."""
+    alias = _worker_alias_index(alias_ref, max_ngram)
+    return extract_batch(t, alias, _WORKER_TOKENS, per_row_seconds)
+
+
 def link_extract(
     turns: Dataset,
     alias_ref,
@@ -141,8 +149,7 @@ def link_extract(
     ``per_row_seconds`` are dead-lettered (see ``extract_batch``)."""
 
     def _task(t: pa.Table) -> pa.Table:
-        alias = _worker_alias_index(alias_ref, max_ngram)
-        return extract_batch(t, alias, _WORKER_TOKENS, per_row_seconds)
+        return extract_table(t, alias_ref, max_ngram, per_row_seconds)
 
     return turns.map_batches(
         _task,

@@ -18,7 +18,9 @@ Scale design:
 - ``edges_agg`` (global triple weights) and ``nodes`` DO shuffle. Both, and
   their incremental merges, are one keyed-sum kernel (``_keyed_sum``): a
   per-batch partial aggregate, then one ``exchange.map_partitions``, so the
-  exchange moves one row per distinct key per batch.
+  exchange moves one row per distinct key per batch. A small append needs
+  no exchange: the written parts already hold each key once, so
+  ``fold_keyed_sum`` adds the delta's per-key sums to them part by part.
 """
 
 from __future__ import annotations
@@ -83,47 +85,54 @@ def _canon_array(arr: pa.Array, canon) -> pa.Array:
     return pa.DictionaryArray.from_arrays(d.indices, new_dict).cast(pa.string())
 
 
+def _canon_of(cmap_ref):
+    """The id rewrite of a broadcast canonical map; ``None`` (the identity)
+    for ``cmap_ref=None``."""
+    return None if cmap_ref is None else partial(canonicalize_id, cmap=cached_get(cmap_ref))
+
+
+def turn_edges(t: pa.Table, canon) -> pa.Table:
+    """Nested extraction rows -> weighted per-turn edge rows, ids rewritten
+    by ``canon`` (None keeps raw ids: the over-budget regime canonicalizes
+    in a later distributed shuffle apply). Fully vectorized: Arrow
+    list-flatten + parent-index repeat, dictionary-encoded canonical
+    rewrite, and an in-table group_by for the per-turn weights (a turn
+    never spans batches, so the weight is exact)."""
+    lst = t.column("triples")
+    if isinstance(lst, pa.ChunkedArray):
+        lst = lst.combine_chunks()
+    flat = lst.flatten()
+    lengths = lst.value_lengths().to_numpy(zero_copy_only=False).astype("int64")
+    parents = pa.array(np.repeat(np.arange(len(lengths)), lengths))
+    exploded = pa.table(
+        {
+            "row": parents,
+            "subj": _canon_array(flat.field("subj"), canon),
+            "pred": flat.field("pred"),
+            "obj": _canon_array(flat.field("obj"), canon),
+        }
+    )
+    g = exploded.group_by(["row", "subj", "pred", "obj"], use_threads=False).aggregate(
+        [("row", "count")]
+    )
+    rows = g.column("row")
+    return pa.table(
+        {
+            "subj": g.column("subj"),
+            "pred": g.column("pred"),
+            "obj": g.column("obj"),
+            "conv_id": t.column("conv_id").take(rows),
+            "turn_idx": t.column("turn_idx").take(rows),
+            "weight": pc.cast(g.column("row_count"), pa.int64()),
+        }
+    )
+
+
 def _edge_builder(cmap_ref):
-    """Stateless task fn: nested extraction rows -> weighted per-turn edge
-    rows. Fully vectorized: Arrow list-flatten + parent-index repeat,
-    dictionary-encoded canonical rewrite, and an in-batch group_by for the
-    per-turn weights (a turn never spans batches, so the weight is exact)."""
+    """Stateless task fn: ``turn_edges`` under a broadcast canonical map."""
 
     def build_edges(t: pa.Table) -> pa.Table:
-        import numpy as np
-
-        # cmap_ref=None -> identity explode (raw surface: ids kept) for the
-        # over-budget regime, where canonicalization happens in a later
-        # distributed shuffle apply
-        canon = None if cmap_ref is None else partial(canonicalize_id, cmap=cached_get(cmap_ref))
-        lst = t.column("triples")
-        if isinstance(lst, pa.ChunkedArray):
-            lst = lst.combine_chunks()
-        flat = lst.flatten()
-        lengths = lst.value_lengths().to_numpy(zero_copy_only=False).astype("int64")
-        parents = pa.array(np.repeat(np.arange(len(lengths)), lengths))
-        exploded = pa.table(
-            {
-                "row": parents,
-                "subj": _canon_array(flat.field("subj"), canon),
-                "pred": flat.field("pred"),
-                "obj": _canon_array(flat.field("obj"), canon),
-            }
-        )
-        g = exploded.group_by(["row", "subj", "pred", "obj"], use_threads=False).aggregate(
-            [("row", "count")]
-        )
-        rows = g.column("row")
-        return pa.table(
-            {
-                "subj": g.column("subj"),
-                "pred": g.column("pred"),
-                "obj": g.column("obj"),
-                "conv_id": t.column("conv_id").take(rows),
-                "turn_idx": t.column("turn_idx").take(rows),
-                "weight": pa.compute.cast(g.column("row_count"), pa.int64()),
-            }
-        )
+        return turn_edges(t, _canon_of(cmap_ref))
 
     return build_edges
 
@@ -157,6 +166,14 @@ def materialize_edges(
     )
 
 
+def sum_by_key(t: pa.Table, schema: pa.Schema) -> pa.Table:
+    """In-table keyed sum: the last column of ``schema`` summed per distinct
+    key (the other columns); other columns of ``t`` are dropped."""
+    *keys, value = schema.names
+    g = t.group_by(keys, use_threads=False).aggregate([(value, "sum")])
+    return pa.table({**{k: g[k] for k in keys}, value: pc.cast(g[f"{value}_sum"], pa.int64())})
+
+
 def _keyed_sum(inputs: list[Dataset], schema: pa.Schema) -> Dataset:
     """The one aggregate kernel of the KG tables: sum the last column of
     ``schema`` per distinct key (the other columns) over the union of
@@ -164,13 +181,10 @@ def _keyed_sum(inputs: list[Dataset], schema: pa.Schema) -> Dataset:
     exchange moves one row per distinct key per block (the partial/combiner
     pattern the groupby guide prescribes for 100 TB inputs); the final sum
     is a hash aggregate inside each part (SHUFFLE #3 of SURVEY.md §3.4)."""
-    *keys, value = schema.names
+    keys = schema.names[:-1]
 
     def keyed_sum(t: pa.Table) -> pa.Table:
-        g = t.group_by(keys, use_threads=False).aggregate([(value, "sum")])
-        return pa.table(
-            {**{k: g[k] for k in keys}, value: pc.cast(g[f"{value}_sum"], pa.int64())}
-        )
+        return sum_by_key(t, schema)
 
     def combine(t: pa.Table) -> pa.Table:
         g = keyed_sum(t)
@@ -192,82 +206,95 @@ def materialize_edges_agg(edges: Dataset) -> Dataset:
     return _keyed_sum([edges], _TRIPLE_SUM)
 
 
+def mention_counts(t: pa.Table, canon) -> pa.Table:
+    """Nested mention rows -> partial node counts (entity_id, surface,
+    type, freq), ids rewritten by ``canon`` (None keeps raw ids),
+    vectorized."""
+    lst = t.column("mentions")
+    if isinstance(lst, pa.ChunkedArray):
+        lst = lst.combine_chunks()
+    flat = lst.flatten()
+    exploded = pa.table(
+        {
+            "entity_id": _canon_array(flat.field("entity_id"), canon),
+            "surface": flat.field("surface"),
+            "type": flat.field("entity_type"),
+        }
+    )
+    g = exploded.group_by(["entity_id", "surface", "type"], use_threads=False).aggregate(
+        [("entity_id", "count")]
+    )
+    return pa.table(
+        {
+            "entity_id": g.column("entity_id"),
+            "surface": g.column("surface"),
+            "type": g.column("type"),
+            "freq": pc.cast(g.column("entity_id_count"), pa.int64()),
+        }
+    )
+
+
 def _node_partial(cmap_ref):
-    """Stateless task fn: nested mention rows -> per-batch partial node
-    counts (entity_id, surface, type, freq), canonicalized, vectorized."""
+    """Stateless task fn: ``mention_counts`` under a broadcast canonical map."""
 
     def node_partial(t: pa.Table) -> pa.Table:
-        canon = None if cmap_ref is None else partial(canonicalize_id, cmap=cached_get(cmap_ref))
-        lst = t.column("mentions")
-        if isinstance(lst, pa.ChunkedArray):
-            lst = lst.combine_chunks()
-        flat = lst.flatten()
-        exploded = pa.table(
-            {
-                "entity_id": _canon_array(flat.field("entity_id"), canon),
-                "surface": flat.field("surface"),
-                "type": flat.field("entity_type"),
-            }
-        )
-        g = exploded.group_by(["entity_id", "surface", "type"], use_threads=False).aggregate(
-            [("entity_id", "count")]
-        )
-        return pa.table(
-            {
-                "entity_id": g.column("entity_id"),
-                "surface": g.column("surface"),
-                "type": g.column("type"),
-                "freq": pc.cast(g.column("entity_id_count"), pa.int64()),
-            }
-        )
+        return mention_counts(t, _canon_of(cmap_ref))
 
     return node_partial
 
 
-def _node_rows(counts: Dataset) -> Dataset:
+def node_rows(t: pa.Table) -> pa.Table:
     """Summed (entity_id, surface, type, freq) counts -> node rows: the bare
     ``canonical`` norm is the entity id without its ``kind:`` prefix."""
-
-    def rows(t: pa.Table) -> pa.Table:
-        return pa.table(
-            {
-                "entity_id": t["entity_id"],
-                "surface": t["surface"],
-                "canonical": pc.replace_substring_regex(
-                    t["entity_id"], pattern=r"^[a-z]+:", replacement=""
-                ),
-                "type": t["type"],
-                "freq": t["freq"],
-            }
-        )
-
-    return counts.map_batches(rows, batch_format="pyarrow", batch_size=None, zero_copy_batch=True)
+    return pa.table(
+        {
+            "entity_id": t["entity_id"],
+            "surface": t["surface"],
+            "canonical": pc.replace_substring_regex(
+                t["entity_id"], pattern=r"^[a-z]+:", replacement=""
+            ),
+            "type": t["type"],
+            "freq": t["freq"],
+        }
+    )
 
 
-def materialize_nodes(
+def _node_rows(counts: Dataset) -> Dataset:
+    return counts.map_batches(
+        node_rows, batch_format="pyarrow", batch_size=None, zero_copy_batch=True
+    )
+
+
+def node_counts(
     extracted: Dataset, cmap: dict[str, str], broadcast_limit: int | None = None
 ) -> Dataset:
-    """Extraction output -> node rows with per-surface frequencies: the
-    keyed sum of per-batch mention counts. Over the canonical-map broadcast
+    """Extraction output -> per-batch partial node counts (entity_id,
+    surface, type, freq) under ``cmap``. Over the canonical-map broadcast
     budget the counts are taken on raw ids and the map is applied by a
-    distributed shuffle before the sum (which re-merges rows the rewrite
-    made equal)."""
+    distributed shuffle (rows the rewrite made equal re-merge in the keyed
+    sum that consumes the counts)."""
     if broadcast_limit is None:
         broadcast_limit = CANON_BROADCAST_LIMIT
     if len(cmap) > broadcast_limit:
-        counts = _apply_cmap_shuffle(
+        return _apply_cmap_shuffle(
             extracted.map_batches(
                 _node_partial(None), batch_format="pyarrow", batch_size=None, zero_copy_batch=True
             ),
             canonical_map_dataset(cmap),
             ["entity_id"],
         )
-    else:
-        counts = extracted.map_batches(
-            _node_partial(ray.put(cmap)),
-            batch_format="pyarrow", batch_size=None, zero_copy_batch=True,
-        )
-    return _node_rows(_keyed_sum([counts], _NODE_SUM))
+    return extracted.map_batches(
+        _node_partial(ray.put(cmap)),
+        batch_format="pyarrow", batch_size=None, zero_copy_batch=True,
+    )
+
+
+def materialize_nodes(
+    extracted: Dataset, cmap: dict[str, str], broadcast_limit: int | None = None
+) -> Dataset:
+    """Extraction output -> node rows with per-surface frequencies: the
+    keyed sum of the per-batch mention counts (``node_counts``)."""
+    return _node_rows(_keyed_sum([node_counts(extracted, cmap, broadcast_limit)], _NODE_SUM))
 
 
 def merge_edges_agg(base_agg: Dataset, delta_edges: Dataset) -> Dataset:
@@ -282,13 +309,38 @@ def merge_edges_agg(base_agg: Dataset, delta_edges: Dataset) -> Dataset:
     return _keyed_sum([base_agg, delta_edges], _TRIPLE_SUM)
 
 
-def merge_nodes_agg(base_nodes: Dataset, delta_nodes: Dataset) -> Dataset:
+def merge_nodes_agg(base_nodes: Dataset, delta: Dataset) -> Dataset:
     """Incremental twin of ``merge_edges_agg`` for the node table: fold a
-    delta's (entity_id, surface, canonical, type, freq) rows into the base
-    aggregate. Frequencies are additive, so merge(nodes(A), nodes(B)) ==
-    nodes(A + B) exactly when both sides were materialized under the SAME
-    canonical map (append_kg remaps the base first when the map drifted)."""
-    return _node_rows(_keyed_sum([base_nodes, delta_nodes], _NODE_SUM))
+    delta into the base aggregate in one exchange. ``delta`` holds node rows
+    or unsummed (entity_id, surface, type, freq) counts, such as
+    ``node_counts`` of a delta's extraction. Frequencies are additive, so
+    the result equals nodes(A + B) exactly when both sides were counted
+    under the SAME canonical map (append_kg remaps the base first when the
+    map drifted)."""
+    return _node_rows(_keyed_sum([base_nodes, delta], _NODE_SUM))
+
+
+def fold_keyed_sum(base: pa.Table, delta: pa.Table, schema: pa.Schema):
+    """Exchange-free merge of one part of a keyed-sum table: add the value
+    (last column of ``schema``) of each ``delta`` row to the ``base`` row
+    with the same key (the other columns). Both sides hold each key at most
+    once, and keys are non-null. ``delta`` is cast to ``base``'s schema
+    first: the base may be ``large_string`` after an exchange. Returns the
+    merged part, in ``base``'s row order and schema, and a bool mask of the
+    ``delta`` rows whose key was found."""
+    *keys, value = schema.names
+    delta = delta.select(base.column_names).cast(base.schema)
+    left = base.select(keys).append_column("__l", pa.array(np.arange(base.num_rows)))
+    right = delta.select(keys).append_column("__r", pa.array(np.arange(delta.num_rows)))
+    hits = left.join(right, keys, join_type="inner", use_threads=False)
+    li = hits["__l"].to_numpy()
+    ri = hits["__r"].to_numpy()
+    add = np.zeros(base.num_rows, np.int64)
+    add[li] = delta[value].to_numpy()[ri]
+    merged = pc.add(base[value], pa.array(add)).cast(base.schema.field(value).type)
+    matched = np.zeros(delta.num_rows, bool)
+    matched[ri] = True
+    return base.set_column(base.column_names.index(value), value, merged), matched
 
 
 def remap_canonical_ids(ds: Dataset, remap: dict[str, str], columns: list[str]) -> Dataset:

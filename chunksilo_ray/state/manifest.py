@@ -3,10 +3,10 @@
 The Ray analog of the reference's incremental-ingest state (reference
 src/chunksilo/index.py:295-406 SQLite IngestionState + index.py:1664-1676
 count/time checkpoints): instead of a central DB, every materialized stage
-writes its Parquet parts to a temp dir, renames atomically, and records a
-JSON manifest carrying a lineage fingerprint (hash of the stage's inputs +
-parameters), per-part row counts, and stage metrics (e.g. the build's
-record of its extracted scan). A rerun with the same fingerprint skips the stage and re-reads
+writes its Parquet parts and a JSON manifest to a directory next to it and
+swaps that in whole; the manifest carries a lineage fingerprint (hash of
+the stage's inputs + parameters), per-part row counts, and stage metrics
+(e.g. the build's record of its extracted scan). A rerun with the same fingerprint skips the stage and re-reads
 the checkpoint (``read_parquet``) — a killed job resumes without
 recomputation, stage by stage; a changed input invalidates exactly the
 stages whose fingerprints change (analog of the reference's mtime+hash
@@ -98,6 +98,40 @@ def _write_blocks(ds: Dataset, dest: pathlib.Path, prefix: str) -> list[dict]:
     return parts
 
 
+def _exchange_dirs(a: pathlib.Path, b: pathlib.Path) -> bool:
+    """Swap two existing directories in one atomic step (Linux
+    ``renameat2(RENAME_EXCHANGE)``). False where the call is unavailable."""
+    import ctypes
+    import errno
+
+    renameat2 = getattr(ctypes.CDLL(None, use_errno=True), "renameat2", None)
+    if renameat2 is None:
+        return False
+    at_fdcwd, rename_exchange = -100, 2
+    if renameat2(at_fdcwd, os.fsencode(a), at_fdcwd, os.fsencode(b), rename_exchange) == 0:
+        return True
+    err = ctypes.get_errno()
+    if err in (errno.ENOSYS, errno.EINVAL, errno.ENOTSUP):
+        return False
+    raise OSError(err, os.strerror(err), str(a), None, str(b))
+
+
+def _swap_in(staged: pathlib.Path, dest: pathlib.Path) -> None:
+    """Make the directory ``staged`` the directory ``dest``. Where the
+    platform can exchange two directories atomically, ``dest`` is never
+    missing and never mixes old and new files; elsewhere it is missing
+    between two renames."""
+    if dest.exists() and _exchange_dirs(staged, dest):
+        shutil.rmtree(staged)  # now holds the old content
+        return
+    old = pathlib.Path(str(dest) + ".old")
+    shutil.rmtree(old, ignore_errors=True)
+    if dest.exists():
+        os.replace(dest, old)
+    os.replace(staged, dest)
+    shutil.rmtree(old, ignore_errors=True)
+
+
 def code_fingerprint(package_dir: str) -> str:
     """Fingerprint of the engine's own source (*.py only — __pycache__
     churns on import and must not invalidate checkpoints)."""
@@ -133,18 +167,18 @@ class StageCheckpoint:
     def read(self) -> Dataset:
         return rd.read_parquet(str(self.dir))
 
-    def _write_checkpoint(self, ds: Dataset, metrics: dict | None) -> None:
-        """Write Parquet parts to a temp dir, rename atomically, record the
-        manifest. Until the manifest lands, the stage reads as incomplete —
-        a crash mid-write simply reruns the stage."""
+    def staging_dir(self) -> pathlib.Path:
+        """A fresh, empty directory next to this checkpoint, where a new
+        version of it is written before ``commit`` swaps it in."""
         tmp = pathlib.Path(str(self.dir) + ".tmp")
-        if tmp.exists():
-            shutil.rmtree(tmp)
-        if self.dir.exists():
-            shutil.rmtree(self.dir)
+        shutil.rmtree(tmp, ignore_errors=True)
         tmp.mkdir(parents=True)
-        parts = _write_blocks(ds, tmp, "part-")
-        os.replace(tmp, self.dir)
+        return tmp
+
+    def commit(self, staged: pathlib.Path, parts: list[dict], metrics: dict | None = None) -> None:
+        """Record the manifest of ``parts`` (files in ``staged``) under this
+        checkpoint's fingerprint, then swap ``staged`` in as the checkpoint.
+        Until the swap, the previous version stays whole and current."""
         manifest = {
             "stage": self.stage,
             "fingerprint": self.fp,
@@ -153,18 +187,32 @@ class StageCheckpoint:
             "metrics": metrics or {},
             "created_unix": int(time.time()),
         }
-        self.manifest_path.write_text(json.dumps(manifest, indent=1))
+        (staged / MANIFEST_NAME).write_text(json.dumps(manifest, indent=1))
+        _swap_in(staged, self.dir)
+
+    def _write_checkpoint(self, ds: Dataset, metrics: dict | None) -> None:
+        """Write Parquet parts next to the checkpoint and swap them in with
+        their manifest. A crash mid-write leaves the previous version (or
+        nothing) in place, and the stage reruns."""
+        staged = self.staging_dir()
+        self.commit(staged, _write_blocks(ds, staged, "part-"), metrics)
 
     def append_parts(self, ds: Dataset, tag: str, fp: str) -> None:
         """Add ``ds``'s blocks to this existing checkpoint as extra part
         files (``part-<tag>-NNNNNN.parquet``) and move its manifest to
-        fingerprint ``fp`` in place."""
-        parts = _write_blocks(ds, self.dir, f"part-{tag}-")
+        fingerprint ``fp`` in place. A checkpoint already at ``fp`` holds
+        them: nothing is written, so a rerun after a kill adds them once."""
         m = json.loads(self.manifest_path.read_text())
+        self.fp = fp
+        if m["fingerprint"] == fp:
+            return
+        for stale in self.dir.glob(f"part-{tag}-*.parquet"):  # a killed attempt's
+            stale.unlink()
+        parts = _write_blocks(ds, self.dir, f"part-{tag}-")
         m["parts"] += parts
         m["rows"] += sum(p["rows"] for p in parts)
-        m["fingerprint"] = self.fp = fp
-        self.manifest_path.write_text(json.dumps(m, indent=1))
+        m["fingerprint"] = fp
+        self._write_manifest(m)
 
     def run(
         self,
@@ -203,6 +251,9 @@ class StageCheckpoint:
         stage unreadable."""
         m = self.manifest() or {}
         m.setdefault("metrics", {}).update(extra)
+        self._write_manifest(m)
+
+    def _write_manifest(self, m: dict) -> None:
         tmp = self.manifest_path.with_name(MANIFEST_NAME + ".tmp")
         tmp.write_text(json.dumps(m, indent=1))
         os.replace(tmp, self.manifest_path)

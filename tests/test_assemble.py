@@ -209,3 +209,19 @@ def test_attach_boundary_keys():
             if r["conv_id"] == conv:
                 assert r["conv_n_turns"] == len(sub)
                 assert r["doc_char_start"] == exp[r["turn_idx"]]
+
+
+def test_in_process_assembly_equals_the_distributed_one():
+    """``assemble_table`` (the small-delta append's one-task assembly) gives
+    every turn the same derived columns as ``assemble_dialogues``."""
+    from chunksilo_ray.stages.assemble import assemble_table
+
+    src = datagen.generate_transcripts(2000, seed=9)
+    key = ["conv_id", "turn_idx"]
+    local = assemble_table(src).sort_by([(k, "ascending") for k in key])
+    dist = pa.Table.from_pylist(
+        assemble_dialogues(rd.from_arrow(src).repartition(5)).take_all()
+    ).sort_by([(k, "ascending") for k in key])
+    assert local.num_rows == src.num_rows
+    for col in ("conv_id", "turn_idx", "text", "conv_n_turns", "doc_char_start"):
+        assert local[col].to_pylist() == dist[col].to_pylist(), col

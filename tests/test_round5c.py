@@ -8,6 +8,7 @@ SAME norm union and every aggregate is additive."""
 
 import json
 import pathlib
+import shutil
 
 import pyarrow as pa
 import pyarrow.parquet as pq
@@ -280,3 +281,218 @@ def test_merge_nodes_agg_equals_rebuild(ray_session):
     }
     assert rows[("ent:new", "Old")] == (7, "new")
     assert rows[("person:alice", "Alice")] == (3, "alice")
+
+
+# ---------------------------------------------------------------------------
+# small-delta path vs exchange path
+
+
+def _rows(path):
+    """A table directory's rows, sorted, independent of part layout and of
+    string vs large_string columns."""
+    files = [path] if path.is_file() else sorted(path.glob("*.parquet"))
+    rows = [r for f in files for r in pq.read_table(f).to_pylist()]
+    return sorted((tuple(sorted(r.items())) for r in rows), key=repr)
+
+
+def _manifest_matches_disk(table_dir):
+    m = json.loads((table_dir / "_MANIFEST.json").read_text())
+    files = sorted(f.name for f in table_dir.glob("*.parquet"))
+    assert sorted(p["file"] for p in m["parts"]) == files
+    assert m["rows"] == sum(pq.read_metadata(table_dir / f).num_rows for f in files)
+
+
+def _build_day1(split_corpus, out, cfg=None):
+    from chunksilo_ray.pipelines.kg import build_kg
+
+    alias = str(split_corpus / "alias_index.parquet")
+    build_kg(str(split_corpus / "day1.parquet"), alias, str(out), cfg=cfg, with_chunks=False)
+
+
+@pytest.mark.parametrize(
+    "linking", [{}, {"per_row_seconds": 0.0}], ids=["default", "dead_letters"]
+)
+def test_small_and_exchange_append_paths_agree(split_corpus, tmp_path, monkeypatch, linking):
+    """The same append through the small-delta path (default budget) and
+    the exchange path (budget 0) writes the same graph and ingest state;
+    a zero per-row budget dead-letters every delta row."""
+    from chunksilo_ray.config import Config
+    from chunksilo_ray.pipelines import kg_append
+    from chunksilo_ray.stages.canon import load_canonical_map
+
+    cfg = Config({"linking": linking})
+    _build_day1(split_corpus, tmp_path / "base", cfg)
+    outs = {}
+    for path, budget in (("small", kg_append.SMALL_DELTA_ROWS), ("exchange", 0)):
+        out = tmp_path / path
+        shutil.copytree(tmp_path / "base", out)
+        monkeypatch.setattr(kg_append, "SMALL_DELTA_ROWS", budget)
+        res = kg_append.append_kg(str(out), str(split_corpus / "day2.parquet"), cfg=cfg)
+        assert res["metrics"]["path"] == path
+        assert res["metrics"]["skipped_existing_convs"] == 5
+        outs[path] = (out, res["metrics"])
+
+    (small, m_small), (exch, m_exch) = outs["small"], outs["exchange"]
+    assert {k: v for k, v in m_small.items() if k != "path"} == {
+        k: v for k, v in m_exch.items() if k != "path"
+    }
+    for name in ("edges", "edges_agg", "nodes"):
+        assert _rows(small / name) == _rows(exch / name), name
+        _manifest_matches_disk(small / name)
+    for name, keys in (("edges_agg", ["subj", "pred", "obj"]),
+                       ("nodes", ["entity_id", "surface", "type"])):
+        rows = [dict(r) for r in _rows(small / name)]
+        assert len({tuple(r[k] for k in keys) for r in rows}) == len(rows), name
+
+    info = json.loads((small / "state" / "build_info.json").read_text())
+    info_exch = json.loads((exch / "state" / "build_info.json").read_text())
+    assert info == info_exch | {"appends": [a | {"path": "small"} for a in info_exch["appends"]]}
+    assert load_canonical_map(small, info["cmap_fp"]) == load_canonical_map(exch, info["cmap_fp"])
+    tag = info["appends"][0]["batch_fp"][:8]
+    conv_part = f"state/conv_ids/part-append-{tag}.parquet"
+    assert _rows(small / conv_part) == _rows(exch / conv_part)
+    assert _rows(small / "state/distinct_norms.parquet") == _rows(exch / "state/distinct_norms.parquet")
+    dead = f"dead_letter/append-{tag}"
+    assert (small / dead).exists() == (exch / dead).exists() == bool(linking)
+    if linking:
+        # the error text carries the row's measured seconds: compare its kind
+        def dead_rows(out):
+            return sorted((r["conv_id"], r["turn_idx"], r["error"].split(":")[0])
+                          for r in map(dict, _rows(out / dead)))
+
+        assert len(dead_rows(small)) == m_small["dead_letter_turns"] > 0
+        assert dead_rows(small) == dead_rows(exch)
+
+
+def test_append_with_canonical_drift_equals_rebuild(split_corpus, tmp_path):
+    """A day-2 norm that bridges two day-1 clusters re-canonicalizes the
+    base: the append takes the exchange path, rewrites the base tables,
+    and still equals the rebuild."""
+    from chunksilo_ray.pipelines.kg import build_kg
+    from chunksilo_ray.pipelines.kg_append import append_kg
+
+    def conv(conv_id, texts):
+        n = len(texts)
+        return pa.table({
+            "conv_id": pa.array([conv_id] * n, pa.string()),
+            "turn_idx": pa.array(range(n), pa.int32()),
+            "role": pa.array(["user", "assistant"] * (n // 2), pa.string()),
+            "text": pa.array(texts, pa.string()),
+            "tool": pa.array([""] * n, pa.string()),
+            "ts": pa.array([0] * n, pa.timestamp("us")),
+        })
+
+    # zentravoluxbrim and travoluxbrimqo are too far apart to merge, and
+    # zentravoluxbrimqo is close to both
+    base_drift = conv("drift-base", ["We deployed Zentravoluxbrim with the gateway",
+                                     "I configured Travoluxbrimqo for Zentravoluxbrim"])
+    day2_drift = conv("day2-drift", ["We deployed Zentravoluxbrimqo with the gateway",
+                                     "I configured Zentravoluxbrimqo and Travoluxbrimqo"])
+    day1 = pq.read_table(split_corpus / "day1.parquet")
+    day2 = pq.read_table(split_corpus / "day2.parquet")
+    pq.write_table(pa.concat_tables([day1, base_drift]), tmp_path / "day1.parquet")
+    pq.write_table(pa.concat_tables([day2, day2_drift]), tmp_path / "day2.parquet")
+    is_new = pa.compute.starts_with(day2["conv_id"], "day2-")
+    (tmp_path / "merged").mkdir()
+    pq.write_table(pa.concat_tables([day1, base_drift, day2.filter(is_new), day2_drift]),
+                   tmp_path / "merged" / "all.parquet")
+
+    alias = str(split_corpus / "alias_index.parquet")
+    full = build_kg(str(tmp_path / "merged"), alias, str(tmp_path / "full"), with_chunks=False)
+    build_kg(str(tmp_path / "day1.parquet"), alias, str(tmp_path / "kg"), with_chunks=False)
+    res = append_kg(str(tmp_path / "kg"), str(tmp_path / "day2.parquet"))
+    assert res["metrics"]["drifted_clusters"] > 0
+    assert res["metrics"]["path"] == "exchange"
+    _assert_equals_rebuild(res, full)
+
+
+@pytest.mark.parametrize("path", ["small", "exchange"])
+def test_append_killed_after_the_edges_write_adds_them_once(
+    split_corpus, rebuild, tmp_path, monkeypatch, path
+):
+    """A rerun after a kill between the edges write and the aggregate merge
+    must not list the delta's edge parts twice."""
+    from chunksilo_ray.pipelines import kg_append
+
+    def die(*args, **kwargs):
+        raise KeyboardInterrupt
+
+    out = tmp_path / "kg"
+    _build_day1(split_corpus, out)
+    if path == "exchange":
+        monkeypatch.setattr(kg_append, "SMALL_DELTA_ROWS", 0)
+    monkeypatch.setattr(kg_append, "_fold_small" if path == "small" else "merge_edges_agg", die)
+    with pytest.raises(KeyboardInterrupt):
+        kg_append.append_kg(str(out), str(split_corpus / "day2.parquet"))
+    monkeypatch.undo()
+    if path == "exchange":
+        monkeypatch.setattr(kg_append, "SMALL_DELTA_ROWS", 0)
+    res = kg_append.append_kg(str(out), str(split_corpus / "day2.parquet"))
+    assert res["metrics"]["path"] == path
+    _manifest_matches_disk(out / "edges")
+    assert res["metrics"]["edges"] == pq.read_table(out / "edges").num_rows
+    _assert_equals_rebuild(res, rebuild[1])
+
+
+@pytest.mark.parametrize("kill", ["files_written", "swapped"])
+def test_small_append_killed_during_the_merge_resumes(
+    split_corpus, rebuild, tmp_path, monkeypatch, kill
+):
+    """Kill the small-delta merge after its new files are written (before
+    the swap), or after the swap (before build_info.json): the table is
+    whole at the kill, and the rerun equals the rebuild."""
+    from chunksilo_ray.pipelines import kg_append
+    from chunksilo_ray.state import manifest
+
+    def die(*args, **kwargs):
+        raise KeyboardInterrupt
+
+    swap_in = manifest._swap_in
+
+    def die_at_edges_agg(staged, dest):
+        if dest.name == "edges_agg":
+            raise KeyboardInterrupt
+        swap_in(staged, dest)
+
+    out = tmp_path / "kg"
+    _build_day1(split_corpus, out)
+    before = _rows(out / "edges_agg")
+    if kill == "files_written":
+        monkeypatch.setattr(manifest, "_swap_in", die_at_edges_agg)
+    else:
+        monkeypatch.setattr(kg_append, "write_ingest_state", die)
+    with pytest.raises(KeyboardInterrupt):
+        kg_append.append_kg(str(out), str(split_corpus / "day2.parquet"))
+    monkeypatch.undo()
+    _manifest_matches_disk(out / "edges_agg")
+    if kill == "files_written":
+        assert any((out / "edges_agg.tmp").glob("*.parquet"))
+        assert _rows(out / "edges_agg") == before
+    else:
+        assert not (out / "edges_agg.tmp").exists()
+        assert _rows(out / "edges_agg") != before
+
+    res = kg_append.append_kg(str(out), str(split_corpus / "day2.parquet"))
+    assert res["metrics"]["path"] == "small"
+    assert not list(out.glob("*.tmp"))
+    _assert_equals_rebuild(res, rebuild[1])
+
+
+def test_fold_keyed_sum_casts_the_delta_to_the_base_schema():
+    """The base part may hold large_string keys (after an exchange); the
+    delta's string keys are cast to it before the key join."""
+    from chunksilo_ray.stages.materialize import _TRIPLE_SUM, fold_keyed_sum
+
+    ls = pa.large_string()
+    base = pa.table({
+        "subj": pa.array(["a", "b"], ls), "pred": pa.array(["p", "p"], ls),
+        "obj": pa.array(["x", "y"], ls), "weight": pa.array([3, 4], pa.int64()),
+    })
+    delta = pa.table({
+        "subj": ["c", "b"], "pred": ["p", "p"], "obj": ["z", "y"],
+        "weight": pa.array([1, 2], pa.int64()),
+    })
+    merged, matched = fold_keyed_sum(base, delta, _TRIPLE_SUM)
+    assert merged.schema == base.schema
+    assert merged["weight"].to_pylist() == [3, 6]
+    assert matched.tolist() == [False, True]

@@ -62,3 +62,25 @@ class TestFingerprints:
 
         os.utime(f, (1, 1))
         assert input_fingerprint(str(tmp_path)) != fp1
+
+
+@pytest.mark.parametrize("exchange", [True, False], ids=["exchange", "two_renames"])
+def test_checkpoint_commit_swaps_in_a_whole_new_version(tmp_path, monkeypatch, exchange):
+    """``commit`` replaces a checkpoint with its staged version, through an
+    atomic directory exchange or, where that is unavailable, two renames;
+    no staging or old directory is left behind."""
+    import pyarrow.parquet as pq
+
+    from chunksilo_ray.state import manifest
+
+    if not exchange:
+        monkeypatch.setattr(manifest, "_exchange_dirs", lambda a, b: False)
+    ckpt = manifest.StageCheckpoint(str(tmp_path), "t", "fp1")
+    ckpt.run(lambda: rd.from_arrow(pa.table({"x": [1, 2]})))
+    ckpt = manifest.StageCheckpoint(str(tmp_path), "t", "fp2")
+    staged = ckpt.staging_dir()
+    pq.write_table(pa.table({"x": [3]}), staged / "part-new.parquet")
+    ckpt.commit(staged, [{"file": "part-new.parquet", "rows": 1, "bytes": 0}])
+    assert ckpt.complete() and ckpt.manifest()["rows"] == 1
+    assert sorted(f.name for f in ckpt.dir.iterdir()) == ["_MANIFEST.json", "part-new.parquet"]
+    assert sorted(f.name for f in tmp_path.iterdir()) == ["t"]
