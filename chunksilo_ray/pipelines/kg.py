@@ -148,8 +148,7 @@ def write_ingest_state(
     (``build`` or ``append-<fp8>``) of each table: the dead-letter rows of
     ``extracted`` under out/dead_letter/<tag>/ (the explicit-policy export
     of extractor-failed rows, SURVEY.md §4 — only when there are any; one
-    write task per block of a Dataset, so the rows never reach the driver;
-    a small append passes its one in-process Table), and, when
+    write task per block, so the rows never reach the driver), and, when
     ``norms`` is given (incremental tracking on), the scan's conv ids as
     out/state/conv_ids/part-<tag>.parquet plus ``norms`` as
     out/state/distinct_norms.parquet."""
@@ -157,17 +156,14 @@ def write_ingest_state(
         dest = out / "dead_letter" / tag
         shutil.rmtree(dest, ignore_errors=True)  # left by a killed attempt
         dest.mkdir(parents=True)
-        if isinstance(extracted, pa.Table):
-            pq.write_table(_dead_letter_rows(extracted), dest / "part-000000.parquet")
-        else:
-            _write_blocks(
-                extracted.map_batches(
-                    _dead_letter_rows, batch_format="pyarrow", batch_size=None,
-                    zero_copy_batch=True,
-                ),
-                dest,
-                "part-",
-            )
+        _write_blocks(
+            extracted.map_batches(
+                _dead_letter_rows, batch_format="pyarrow", batch_size=None,
+                zero_copy_batch=True,
+            ),
+            dest,
+            "part-",
+        )
     if norms is not None:
         state = out / "state"
         (state / "conv_ids").mkdir(parents=True, exist_ok=True)

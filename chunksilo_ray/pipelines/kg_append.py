@@ -5,17 +5,19 @@ The Ray-Data analog of the reference's mtime/hash-incremental reindex
 deleted, re-embed only the changed files) at CONVERSATION granularity:
 
     append_kg(out_dir, new_day.parquet)
-      1. membership check  — the new input's conv_ids are a small set; one
-         task per file of the persisted conv-id manifest (out/state/)
-         filters that file against them, so already-ingested conversations
-         are skipped WITHOUT the manifest ever being collected whole (scale
-         direction: small side broadcast, big side streams).
+      1. membership check  — the new input's conv_ids (a column read of its
+         files on the driver) are a small set; one task per file of the
+         persisted conv-id manifest (out/state/) filters that file against
+         them, so already-ingested conversations are skipped WITHOUT the
+         manifest ever being collected whole (scale direction: small side
+         broadcast, big side streams).
       2. delta extract     — over the new conversations only, checkpointed
          under out/append/<batch_fp>/ so a killed append resumes. A small
          delta (at most SMALL_DELTA_ROWS input rows, read from the Parquet
-         footers) is read, assembled and extracted by ONE task with the
-         build's kernels; a larger one runs assemble_dialogues +
-         link_extract as the build does.
+         footers) is read and assembled by ONE task and extracted by a
+         second, with the build's kernels, each under its stage checkpoint;
+         a larger one runs assemble_dialogues + link_extract as the build
+         does.
       3. canonical extend  — rebuild the canonical map over the UNION of the
          persisted distinct norms and the delta's (vocabulary-bounded, the
          same cost class as the original build's map step). Drift on old
@@ -97,11 +99,13 @@ from .kg import (
 
 __all__ = ["append_kg", "CanonicalDriftError"]
 
-# Appends of at most this many input rows (Parquet footer counts) extract
-# the delta in one task and fold it into edges_agg / nodes without an
-# exchange. Sized from the measured crossover: the one-task delta side
-# costs ~38 us per turn, the Ray Data executions it replaces ~0.8 s
-# whatever the delta size, and 0.8 s / 38 us ~ 21k turns (DESIGN.md
+# Appends of at most this many input rows (Parquet footer counts) assemble
+# and extract the delta in one task each and fold it into edges_agg / nodes
+# without an exchange. Measured on a 50k-turn base with 2 and 4 Ray CPUs,
+# the small path is faster at every size up to 120k rows, and at 80k rows
+# with 4 CPUs the best runs of the two paths tie; the budget stays a 4x
+# margin below that tie because the exchange path's extraction divides by
+# the CPU count. Hosts with more CPUs are unmeasured (DESIGN.md
 # "Small-delta append").
 SMALL_DELTA_ROWS = 20_000
 
@@ -134,16 +138,21 @@ def _keep_convs(t: pa.Table, skipped: pa.Array) -> pa.Table:
 
 
 @ray.remote
+def _assemble_delta(files: list[str], skipped: pa.Array) -> pa.Table:
+    """A small append's assembly in one task: read the new files, drop the
+    skipped conversations, assemble in process (one conv-hash part, one
+    block)."""
+    return assemble_table(_keep_convs(pa.concat_tables([pq.read_table(f) for f in files]), skipped))
+
+
+@ray.remote
 def _extract_delta(
-    files: list[str], skipped: pa.Array, alias: list, max_ngram: int, per_row_seconds: float
+    alias: list, max_ngram: int, per_row_seconds: float, *assembled: pa.Table
 ) -> pa.Table:
-    """The whole delta side of a small append in one task: read the new
-    files, drop the skipped conversations, then assemble (one conv-hash
-    part, one block) and extract in process. ``alias`` holds the alias
+    """A small append's extraction in one task. ``alias`` holds the alias
     table's ref (inside a list, so Ray passes the ref itself and the
     worker's alias-index memo keys on it)."""
-    t = _keep_convs(pa.concat_tables([pq.read_table(f) for f in files]), skipped)
-    return extract_table(assemble_table(t), alias[0], max_ngram, per_row_seconds)
+    return extract_table(pa.concat_tables(assembled), alias[0], max_ngram, per_row_seconds)
 
 
 @ray.remote
@@ -220,16 +229,9 @@ def append_kg(
     # the size gate reads Parquet footers only: it starts no execution
     files = _input_files(new_transcripts)
     small = sum(pq.read_metadata(f).num_rows for f in files) <= SMALL_DELTA_ROWS
-    if small:
-        delta_convs = set(
-            pc.unique(pa.concat_tables(
-                [pq.read_table(f, columns=["conv_id"]) for f in files]
-            )["conv_id"]).to_pylist()
-        )
-    else:
-        new_ds = rd.read_parquet(new_transcripts)
-        delta_convs = set()
-        for b in new_ds.select_columns(["conv_id"]).iter_batches(batch_format="pyarrow"):
+    delta_convs = set()
+    for f in files:
+        for b in pq.ParquetFile(f).iter_batches(columns=["conv_id"]):
             delta_convs.update(pc.unique(b["conv_id"]).to_pylist())
     skipped = _ingested(state / "conv_ids", delta_convs)
     new_convs = delta_convs - skipped
@@ -253,32 +255,31 @@ def append_kg(
     )
     batch_root = str(out / "append" / batch_fp)
     link_cfg = cfg.section("linking")
+    asm_ckpt = StageCheckpoint(batch_root, "assembled", fingerprint(batch_fp, "assemble"))
     ext_ckpt = StageCheckpoint(batch_root, "extracted", fingerprint(batch_fp, "extract"))
     alias_table = pq.read_table(alias_path)
     if small:
-        # one task, no exchange: the delta fits one process
-        def extract_in_one_task():
-            ref = _extract_delta.remote(
-                files, skipped_arr, [ray.put(alias_table)],
-                link_cfg["max_ngram"], link_cfg["per_row_seconds"],
-            )
-            return rd.from_arrow_refs([ref])
-
-        extracted = ext_ckpt.run(extract_in_one_task)
+        # one task per stage, no exchange: the delta fits one process
+        assembled = asm_ckpt.run(
+            lambda: rd.from_arrow_refs([_assemble_delta.remote(files, skipped_arr)])
+        )
+        extracted = ext_ckpt.run(
+            lambda: rd.from_arrow_refs([_extract_delta.remote(
+                [ray.put(alias_table)], link_cfg["max_ngram"], link_cfg["per_row_seconds"],
+                *assembled.to_arrow_refs(),
+            )])
+        )
         delta_t = pa.concat_tables(ray.get(list(extracted.to_arrow_refs())))
         stats = ScanStats.of([scan_partial(delta_t, collect_convs=True)])
     else:
-        delta = new_ds
+        delta = rd.read_parquet(new_transcripts)
         if skipped:
-            delta = new_ds.map_batches(
+            delta = delta.map_batches(
                 partial(_keep_convs, skipped=skipped_arr),
                 batch_format="pyarrow", batch_size=None, zero_copy_batch=True,
             )
-        asm_ckpt = StageCheckpoint(batch_root, "assembled", fingerprint(batch_fp, "assemble"))
         assembled = asm_ckpt.run(lambda: assemble_dialogues(delta))
-        extracted = ext_ckpt.run(
-            lambda: link_extract(assembled, ray.put(alias_table), **link_cfg)
-        )
+        extracted = ext_ckpt.run(lambda: link_extract(assembled, ray.put(alias_table), **link_cfg))
         stats = scan_extracted_stats(extracted, collect_convs=True)()
 
     # ---- 3. canonical map extension + drift remap ----------------------------
@@ -341,9 +342,7 @@ def append_kg(
         nodes_ckpt.run(lambda: merge_nodes_agg(base_nodes, node_counts(extracted, new_map)))
 
     # ---- 5. state update (same shape build_kg wrote) --------------------------
-    write_ingest_state(
-        out, f"append-{tag}", stats, delta_t if small else extracted, union_norms
-    )
+    write_ingest_state(out, f"append-{tag}", stats, extracted, union_norms)
     save_canonical_map(out, new_map, new_cmap_fp)
     info["cmap_fp"] = new_cmap_fp
     info["edges_fp"] = edges_fp

@@ -116,11 +116,21 @@ def _exchange_dirs(a: pathlib.Path, b: pathlib.Path) -> bool:
     raise OSError(err, os.strerror(err), str(a), None, str(b))
 
 
+def _restore_old(dest: pathlib.Path) -> None:
+    """Put back ``<dest>.old`` when a kill between ``_swap_in``'s two
+    renames left ``dest`` missing: the checkpoint is its previous version
+    again, and the interrupted write reruns."""
+    old = pathlib.Path(str(dest) + ".old")
+    if not dest.exists() and old.exists():
+        os.replace(old, dest)
+
+
 def _swap_in(staged: pathlib.Path, dest: pathlib.Path) -> None:
     """Make the directory ``staged`` the directory ``dest``. Where the
     platform can exchange two directories atomically, ``dest`` is never
     missing and never mixes old and new files; elsewhere it is missing
-    between two renames."""
+    between two renames, and ``_restore_old`` undoes a kill there."""
+    _restore_old(dest)
     if dest.exists() and _exchange_dirs(staged, dest):
         shutil.rmtree(staged)  # now holds the old content
         return
@@ -153,6 +163,7 @@ class StageCheckpoint:
         self.manifest_path = self.dir / MANIFEST_NAME
 
     def manifest(self) -> dict | None:
+        _restore_old(self.dir)
         if not self.manifest_path.exists():
             return None
         try:
@@ -202,7 +213,7 @@ class StageCheckpoint:
         files (``part-<tag>-NNNNNN.parquet``) and move its manifest to
         fingerprint ``fp`` in place. A checkpoint already at ``fp`` holds
         them: nothing is written, so a rerun after a kill adds them once."""
-        m = json.loads(self.manifest_path.read_text())
+        m = self.manifest()
         self.fp = fp
         if m["fingerprint"] == fp:
             return

@@ -64,11 +64,19 @@ class TestFingerprints:
         assert input_fingerprint(str(tmp_path)) != fp1
 
 
-@pytest.mark.parametrize("exchange", [True, False], ids=["exchange", "two_renames"])
-def test_checkpoint_commit_swaps_in_a_whole_new_version(tmp_path, monkeypatch, exchange):
+@pytest.mark.parametrize(
+    "exchange, killed",
+    [(True, False), (False, False), (False, True)],
+    ids=["exchange", "two_renames", "killed_between_the_renames"],
+)
+def test_checkpoint_commit_swaps_in_a_whole_new_version(tmp_path, monkeypatch, exchange, killed):
     """``commit`` replaces a checkpoint with its staged version, through an
     atomic directory exchange or, where that is unavailable, two renames;
-    no staging or old directory is left behind."""
+    no staging or old directory is left behind. A kill between the two
+    renames leaves only ``<stage>.old`` and ``<stage>.tmp``: the next look
+    at the checkpoint restores the previous version, and a rerun commits."""
+    import os
+
     import pyarrow.parquet as pq
 
     from chunksilo_ray.state import manifest
@@ -78,6 +86,27 @@ def test_checkpoint_commit_swaps_in_a_whole_new_version(tmp_path, monkeypatch, e
     ckpt = manifest.StageCheckpoint(str(tmp_path), "t", "fp1")
     ckpt.run(lambda: rd.from_arrow(pa.table({"x": [1, 2]})))
     ckpt = manifest.StageCheckpoint(str(tmp_path), "t", "fp2")
+    if killed:
+        class Killed(Exception):
+            pass
+
+        renames, replace = [], os.replace
+
+        def killed_at_the_second_rename(src, dst):
+            renames.append(src)
+            if len(renames) == 2:
+                raise Killed
+            replace(src, dst)
+
+        staged = ckpt.staging_dir()
+        pq.write_table(pa.table({"x": [3]}), staged / "part-new.parquet")
+        monkeypatch.setattr(manifest.os, "replace", killed_at_the_second_rename)
+        with pytest.raises(Killed):
+            ckpt.commit(staged, [{"file": "part-new.parquet", "rows": 1, "bytes": 0}])
+        monkeypatch.setattr(manifest.os, "replace", replace)
+        assert sorted(f.name for f in tmp_path.iterdir()) == ["t.old", "t.tmp"]
+        assert not ckpt.complete() and ckpt.manifest()["fingerprint"] == "fp1"
+        assert sorted(pq.read_table(ckpt.dir)["x"].to_pylist()) == [1, 2]
     staged = ckpt.staging_dir()
     pq.write_table(pa.table({"x": [3]}), staged / "part-new.parquet")
     ckpt.commit(staged, [{"file": "part-new.parquet", "rows": 1, "bytes": 0}])
