@@ -183,8 +183,8 @@ def main(argv: list[str] | None = None) -> int:
         action="store_true",
         help="incremental ingest: --input is a NEW batch of conversations "
         "folded into the KG already built at --out (new conv_ids detected "
-        "via the persisted manifest; only they are extracted, then merged "
-        "into edges/edges_agg/nodes)",
+        "against the extracted checkpoints of the build and its appends; "
+        "only they are extracted, then merged into edges/edges_agg/nodes)",
     )
     b.add_argument("--out", required=True, help="output/checkpoint directory")
     b.add_argument("--config", default=None, help="YAML config (deep-merged over defaults)")

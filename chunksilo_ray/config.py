@@ -49,14 +49,6 @@ DEFAULTS: dict[str, Any] = {
         "max_group": 256,  # cap pairs per LSH bucket (skew guard)
         "max_pairs": 2_000_000,  # driver union-find edge-list cap (the build raises past it)
     },
-    "incremental": {
-        # persist out/state/ (conv-id manifest, distinct norms, build info)
-        # during build so `append_kg` can fold new conversations in later.
-        # The conv ids come from the build's extracted scan, plus two small
-        # driver-side parquet writes; a no-op resume reuses the scan's
-        # recorded result and rewrites none of it
-        "track": True,
-    },
     "runtime": {
         "target_max_block_size": None,  # bytes; None = Ray default (128 MiB)
     },

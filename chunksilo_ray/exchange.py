@@ -3,7 +3,7 @@
 
 A stage tags each row with ``part_ids`` of its key (``with_parts`` for a
 whole dataset), then runs its kernel with ``map_partitions(ds, "__part",
-fn, schema)``. Equal keys of the same dtype get the same part in every
+fn)``. Equal keys of the same dtype get the same part in every
 process, so the two sides of a co-group meet as long as both tag through
 ``part_ids``."""
 
@@ -55,7 +55,7 @@ def with_parts(ds, columns: list[str]):
     return ds.map_batches(add_part, batch_format="pyarrow", batch_size=None, zero_copy_batch=True)
 
 
-def map_partitions(ds, key, fn, empty_schema, batch_format: str = "pyarrow"):
+def map_partitions(ds, key, fn, batch_format: str = "pyarrow"):
     """``groupby(key).map_groups(fn)`` for UDFs that tolerate receiving
     several COMPLETE key-groups in one call — which every ``__part``-keyed
     kernel in this repo does (each sorts/segments by its real key
@@ -63,18 +63,9 @@ def map_partitions(ds, key, fn, empty_schema, batch_format: str = "pyarrow"):
 
     Same exchange as map_groups (a range-partitioned sort on ``key``
     co-locates equal keys in one output block), but the UDF runs once per
-    BLOCK instead of once per group. ``fn`` never sees an empty table: an
-    empty block maps to ``empty_schema``'s typed empty table. Ray 2.49's
-    ``map_batches`` hands the sort's empty partitions on without calling
-    any UDF, so those stay schema-less 0-row blocks (DESIGN.md "The
-    exchange module and empty partitions")."""
-
-    def apply_block(t):
-        if len(t) == 0:
-            return empty_schema.empty_table()
-        return fn(t)
-
-    apply_block.__name__ = getattr(fn, "__name__", "map_partitions")
-    return ds.sort(key).map_batches(
-        apply_block, batch_format=batch_format, batch_size=None
-    )
+    BLOCK instead of once per group. ``fn`` never sees an empty table:
+    Ray 2.49's ``map_batches`` hands a 0-row pyarrow or pandas batch on
+    without calling the UDF, so the sort's empty partitions stay
+    schema-less 0-row blocks (DESIGN.md "The exchange module and empty
+    partitions")."""
+    return ds.sort(key).map_batches(fn, batch_format=batch_format, batch_size=None)

@@ -105,7 +105,6 @@ def exact_dedup_docs(sf_dir: str) -> Dataset:
         combined,
         "__part",
         final_min,
-        pa.schema([("doc_id", pa.int64()), ("text_hash", pa.string())]),
     )
 
 
@@ -251,9 +250,6 @@ def _pairs_in_partition(max_group: int):
     return fn
 
 
-_EMPTY_PAIRS = pa.schema([("a", pa.int64()), ("b", pa.int64())])
-
-
 def _add_pair_part(t: pa.Table) -> pa.Table:
     """Coarse pair-hash partition column over (a, b) int64 pair rows."""
     a = t["a"].to_numpy(zero_copy_only=False)
@@ -321,14 +317,12 @@ def _verified_edges(
                         zero_copy_batch=True),
         "__part",
         _pairs_in_partition(max_group),
-        _EMPTY_PAIRS,
     )
 
     cands = map_partitions(
         raw_pairs.map_batches(_add_pair_part, batch_format="pyarrow", batch_size=None),
         "__part",
         _dedup_pairs_part,
-        _EMPTY_PAIRS,
     ).materialize()  # tiny: deduped candidate pairs (int ids only)
 
     return _exact_jaccard_edges(sig, cands, threshold)
@@ -486,10 +480,8 @@ def _exact_jaccard_edges(sig: Dataset, cands: Dataset, threshold: float) -> Data
             }
         )
 
-    attached = map_partitions(
-        tagged, "__part", attach_part, _EMPTY_ATTACHED
-    ).map_batches(_add_pair_part, batch_format="pyarrow", batch_size=None)
-    return map_partitions(attached, "__part", verify_part, _EMPTY_EDGES)
+    attached = map_partitions(tagged, "__part", attach_part).map_batches(_add_pair_part, batch_format="pyarrow", batch_size=None)
+    return map_partitions(attached, "__part", verify_part)
 
 
 def minhash_dup_groups(sf_dir: str, threshold: float = 0.7) -> Dataset:
@@ -645,16 +637,12 @@ def simhash_dup_pairs(sf_dir: str, max_hamming: int = 3, max_group: int = 512) -
     16-bit chunk explode -> coarse chunk-hash partitions -> in-bucket hamming
     -> pair-key dedup. The signature table never materializes on the driver."""
     sh = simhash_docs(sf_dir)
-    _empty_ham = pa.schema(
-        [("doc_a", pa.int64()), ("doc_b", pa.int64()), ("hamming", pa.int64())]
-    )
     pairs = map_partitions(
         sh.map_batches(
             _simhash_explode, batch_format="pyarrow", batch_size=None, zero_copy_batch=True
         ),
         "__part",
         _simhash_pairs_partition(max_hamming, max_group),
-        _empty_ham,
     )
 
     # a pair can match in up to 4 chunks (and in 2 partitions): global dedup
@@ -687,7 +675,6 @@ def simhash_dup_pairs(sf_dir: str, max_hamming: int = 3, max_group: int = 512) -
         pairs.map_batches(add_part, batch_format="pyarrow", batch_size=None),
         "__part",
         dedup_part,
-        _empty_ham,
     )
 
 
@@ -794,14 +781,11 @@ def embedding_near_dups(
         batch_size=None,
         zero_copy_batch=True,
     )
-    raw_pairs = map_partitions(
-        bucketed, "__part", _pairs_in_partition(max_group), _EMPTY_PAIRS
-    )
+    raw_pairs = map_partitions(bucketed, "__part", _pairs_in_partition(max_group))
     cands = map_partitions(
         raw_pairs.map_batches(_add_pair_part, batch_format="pyarrow", batch_size=None),
         "__part",
         _dedup_pairs_part,
-        _EMPTY_PAIRS,
     ).materialize()  # tiny: deduped candidate id pairs
     if cands.count() == 0:
         return _EMPTY_NEAR_DUPS.empty_table()
@@ -925,12 +909,11 @@ def embedding_near_dups(
         )
 
     verified = map_partitions(
-        map_partitions(tagged, "__part", attach_part, _EMPTY_ATTACHED).map_batches(
+        map_partitions(tagged, "__part", attach_part).map_batches(
             _add_pair_part, batch_format="pyarrow", batch_size=None
         ),
         "__part",
         verify_part,
-        _EMPTY_NEAR_DUPS,
     )
     # verified near-dup pairs are tiny by construction: collect into an Arrow
     # table with an EXPLICIT schema (an empty Dataset loses its schema, which
@@ -1104,13 +1087,11 @@ def fuzzy_name_matches(sf_dir: str, threshold: float = 0.5) -> Dataset:
                         zero_copy_batch=True),
         "__part",
         _pairs_in_partition(max_group=4096),
-        _EMPTY_PAIRS,
     )
     cands = map_partitions(
         raw_pairs.map_batches(_add_pair_part, batch_format="pyarrow", batch_size=None),
         "__part",
         _dedup_pairs_part,
-        _EMPTY_PAIRS,
     ).materialize()
 
     edges = _exact_jaccard_edges(sig, cands, threshold)

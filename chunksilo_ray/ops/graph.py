@@ -163,7 +163,6 @@ def connected_components(
                 u,
                 "__part",
                 propagate,
-                pa.schema([("node", pa.int64()), ("label", pa.int64())]),
             )
             .groupby("node")
             .aggregate(Min("label", alias_name="label"))
@@ -403,9 +402,6 @@ def _pagerank_exchange(sym: Dataset, n_iter: int, damping: float) -> Dataset:
                 u,
                 "__part",
                 propagate,
-                pa.schema(
-                    [("node", pa.int64()), ("contrib", pa.float64()), ("deg", pa.float64())]
-                ),
             )
             .groupby("node")
             .aggregate(Sum("contrib", alias_name="s"), Max("deg", alias_name="deg"))
@@ -502,7 +498,6 @@ def entity_pagerank(ea: Dataset, n_iter: int = 5, damping: float = 0.85) -> Data
         ea.map_batches(to_pairs, batch_format="pyarrow", batch_size=None, zero_copy_batch=True),
         "__part",
         distinct_pairs,
-        pa.schema([("s", pa.string()), ("o", pa.string())]),
     ).materialize()
 
     def explode_ents(t: pa.Table) -> pa.Table:
@@ -627,7 +622,6 @@ def _coded_undirected_pairs(ea: Dataset):
         ea.map_batches(to_pairs, batch_format="pyarrow", batch_size=None, zero_copy_batch=True),
         "__part",
         lambda t: t.group_by(["s", "o"], use_threads=False).aggregate([]),
-        pa.schema([("s", pa.string()), ("o", pa.string())]),
     ).materialize()
 
     vocab = np.sort(
@@ -756,7 +750,6 @@ def kg_triangle_count(ea: Dataset) -> "pa.Table":
         oriented,
         "__part",
         wedges,
-        pa.schema([("a", pa.int64()), ("b", pa.int64())]),
     )
 
     def tag(is_edge: int):
@@ -785,9 +778,7 @@ def kg_triangle_count(ea: Dataset) -> "pa.Table":
         hits = np.isin(key[~is_edge], edge_keys, assume_unique=False)
         return pa.table({"n": pa.array([int(hits.sum())], pa.int64())})
 
-    parts = map_partitions(
-        tagged, "__part", count_part, pa.schema([("n", pa.int64())])
-    )
+    parts = map_partitions(tagged, "__part", count_part)
     total = parts.sum("n") or 0
     return pa.table({"n_triangles": pa.array([int(total)], pa.int64())})
 
@@ -888,7 +879,6 @@ def kg_common_neighbors(ea: Dataset, k: int = 50, max_degree: int = 4096) -> "pa
         pairs.map_batches(sym, batch_format="pyarrow", batch_size=None),
         "__part",
         wedges,
-        pa.schema([("a", pa.int64()), ("b", pa.int64())]),
     )
 
     # tagged pair-key exchange: wedge counts (cnt>=1) + edge markers (cnt=-1);
@@ -973,9 +963,6 @@ def kg_common_neighbors(ea: Dataset, k: int = 50, max_degree: int = 4096) -> "pa
         tagged,
         "__part",
         topk_part,
-        pa.schema(
-            [("a", pa.int64()), ("b", pa.int64()), ("common_n", pa.int64()), ("jac", pa.float64())]
-        ),
     )
     # driver merge: at most k rows per partition
     rows = partials.take_all()
@@ -1128,15 +1115,11 @@ def kg_adamic_adar(ea: Dataset, k: int = 50, max_degree: int = 4096) -> "pa.Tabl
         pairs.map_batches(sym, batch_format="pyarrow", batch_size=None),
         "__part",
         wedges,
-        exch_schema,
     )
     tagged = wedge_ds.union(
         pairs.map_batches(edge_mark, batch_format="pyarrow", batch_size=None)
     )
 
-    out_schema = pa.schema(
-        [("a", pa.int64()), ("b", pa.int64()), ("common_n", pa.int64()), ("aa", pa.float64())]
-    )
 
     def topk_part(t: pa.Table) -> pa.Table:
         key = t["key"].to_numpy(zero_copy_only=False)
@@ -1166,7 +1149,7 @@ def kg_adamic_adar(ea: Dataset, k: int = 50, max_degree: int = 4096) -> "pa.Tabl
             }
         )
 
-    partials = map_partitions(tagged, "__part", topk_part, out_schema)
+    partials = map_partitions(tagged, "__part", topk_part)
     rows = partials.take_all()
     vocab = ray.get(vocab_ref)
     rows.sort(key=lambda r: (-r["aa"], r["a"], r["b"]))
@@ -1276,7 +1259,6 @@ def _pair_weights(ea: Dataset) -> Dataset:
                 {"s": g["s"], "o": g["o"], "w": pc.cast(g["w_sum"], pa.int64())}
             )
         )(t.group_by(["s", "o"], use_threads=False).aggregate([("w", "sum")])),
-        pa.schema([("s", pa.string()), ("o", pa.string()), ("w", pa.int64())]),
     )
 
 
@@ -1646,14 +1628,6 @@ def kg_negative_samples(ea: Dataset) -> Dataset:
         u,
         "__part",
         anti_join,
-        pa.schema(
-            [
-                ("seed_a", pa.string()),
-                ("seed_b", pa.string()),
-                ("neg_a", pa.string()),
-                ("neg_b", pa.string()),
-            ]
-        ),
     )
 
 
@@ -1747,7 +1721,6 @@ def _coded_directed_pairs(ea: Dataset):
         ea.map_batches(to_pairs, batch_format="pyarrow", batch_size=None, zero_copy_batch=True),
         "__part",
         lambda t: t.group_by(["s", "o"], use_threads=False).aggregate([]),
-        pa.schema([("s", pa.string()), ("o", pa.string())]),
     ).materialize()
 
     vocab = np.sort(
@@ -2006,12 +1979,7 @@ def kg_label_prop(ea: Dataset, n_iter: int = 3) -> "pa.Table":
     if n_ent == 0:
         return out_schema.empty_table()
 
-    part_schema = pa.schema(
-        [("node", pa.int64()), ("neighbor", pa.int64()), ("__part", pa.int64())]
-    )
-    parted = map_partitions(
-        _sym_with_part(pairs, "a", "b"), "__part", lambda t: t, part_schema
-    ).materialize()
+    parted = map_partitions(_sym_with_part(pairs, "a", "b"), "__part", lambda t: t).materialize()
 
     mode_schema = pa.schema([("node", pa.int64()), ("label", pa.int64())])
 
@@ -2086,9 +2054,6 @@ def kg_predicate_entropy(edges_agg: Dataset) -> Dataset:
         g = pa.table({"subj": g["subj"], "pred": g["pred"], "w": g["weight_sum"]})
         return g.append_column("__part", part_ids(g, ["subj"]))
 
-    out_schema = pa.schema(
-        [("node", pa.string()), ("n_preds", pa.int64()), ("pred_entropy", pa.float64())]
-    )
 
     def entropy(t: pa.Table) -> pa.Table:
         g = (
@@ -2117,7 +2082,6 @@ def kg_predicate_entropy(edges_agg: Dataset) -> Dataset:
         ),
         "__part",
         entropy,
-        out_schema,
     )
 
 
@@ -2256,7 +2220,7 @@ def kg_edge_timestamps(
         cols["n_mentions"] = g["w_sum"].cast(pa.int64())
         return pa.table(cols)
 
-    partials = map_partitions(tagged, "__part", join_part, out_schema)
+    partials = map_partitions(tagged, "__part", join_part)
     from ray.data.aggregate import Max as _Max
 
     aggs = [Min("first_ts_us", alias_name="first_ts_us")]
@@ -2615,7 +2579,6 @@ def kg_path_census(edges_agg: Dataset) -> Dataset:
         ),
         "__part",
         cross,
-        out_schema,
     )
     agg = partials.groupby(["pred1", "pred2"]).aggregate(
         Sum("n_paths", alias_name="n_paths")
@@ -2661,9 +2624,6 @@ def kg_reciprocity(edges_agg: Dataset) -> Dataset:
         )
         return g.append_column("__part", part_ids(g, ["pred", "lo", "hi"]))
 
-    out_schema = pa.schema(
-        [("pred", pa.string()), ("n_pairs", pa.int64()), ("n_recip", pa.int64())]
-    )
 
     def fold(t: pa.Table) -> pa.Table:
         g = (
@@ -2693,7 +2653,6 @@ def kg_reciprocity(edges_agg: Dataset) -> Dataset:
             ),
             "__part",
             fold,
-            out_schema,
         )
         .groupby("pred")
         .aggregate(
@@ -2750,7 +2709,6 @@ def kg_star_query(
         g = g.set_column(g.column_names.index("n"), "n", pc.cast(g["n"], pa.int64()))
         return g.append_column("__part", part_ids(g, ["subj"]))
 
-    out_schema = pa.schema([("subj", pa.string()), ("n_objs", pa.int64())])
 
     def fold(t: pa.Table) -> pa.Table:
         g = (
@@ -2777,7 +2735,6 @@ def kg_star_query(
         ),
         "__part",
         fold,
-        out_schema,
     )
 
 
@@ -2860,14 +2817,6 @@ def kg_entity_roles(edges_agg: Dataset) -> Dataset:
         out = pa.concat_tables(outs)
         return out.append_column("__part", part_ids(out, ["pred", "entity"]))
 
-    out_schema = pa.schema(
-        [
-            ("pred", pa.string()),
-            ("n_subjects", pa.int64()),
-            ("n_objects", pa.int64()),
-            ("n_both", pa.int64()),
-        ]
-    )
 
     def fold(t: pa.Table) -> pa.Table:
         g = (
@@ -2895,7 +2844,6 @@ def kg_entity_roles(edges_agg: Dataset) -> Dataset:
             ),
             "__part",
             fold,
-            out_schema,
         )
         .groupby("pred")
         .aggregate(
@@ -3000,7 +2948,6 @@ def kg_pred_confusion(edges_agg: Dataset) -> Dataset:
             ),
             "__part",
             combos,
-            out_schema,
         )
         .groupby(["pred1", "pred2"])
         .aggregate(Sum("n_pairs", alias_name="n_pairs"))
@@ -3040,13 +2987,6 @@ def conv_entity_richness(edges: Dataset, topn: int = 50) -> Dataset:
         out = pa.concat_tables(outs)
         return out.append_column("__part", part_ids(out, ["conv_id"]))
 
-    out_schema = pa.schema(
-        [
-            ("conv_id", pa.string()),
-            ("n_entities", pa.int64()),
-            ("n_mentions", pa.int64()),
-        ]
-    )
 
     def fold(t: pa.Table) -> pa.Table:
         g = (
@@ -3086,7 +3026,6 @@ def conv_entity_richness(edges: Dataset, topn: int = 50) -> Dataset:
         ),
         "__part",
         fold,
-        out_schema,
     )
     return cand.sort(["n_entities", "conv_id"], descending=[True, False]).limit(topn)
 
@@ -3109,15 +3048,6 @@ def kg_edge_confidence(edges_agg: Dataset) -> Dataset:
         g = t.select(["subj", "pred", "obj", "weight"])
         return g.append_column("__part", part_ids(g, ["subj", "pred"]))
 
-    out_schema = pa.schema(
-        [
-            ("subj", pa.string()),
-            ("pred", pa.string()),
-            ("obj", pa.string()),
-            ("weight", pa.int64()),
-            ("confidence", pa.float64()),
-        ]
-    )
 
     def conf(t: pa.Table) -> pa.Table:
         subj = t["subj"].to_numpy(zero_copy_only=False)
@@ -3145,7 +3075,6 @@ def kg_edge_confidence(edges_agg: Dataset) -> Dataset:
         ),
         "__part",
         conf,
-        out_schema,
     )
 
 

@@ -73,10 +73,6 @@ def asof_join_purchases_to_clicks(sf_dir: str) -> Dataset:
         with_parts(ds, ["user_id"]),
         "__part",
         per_partition,
-        pa.schema(
-            [("purchase_id", pa.int64()), ("user_id", pa.int64()), ("click_id", pa.float64()),
-             ("ms_since_click", pa.float64())]
-        ),
         batch_format="pandas",
     )
 
@@ -157,12 +153,5 @@ def range_join_events_in_window(sf_dir: str, window_minutes: int = 5) -> Dataset
         with_parts(ds, ["user_id"]),
         "__part",
         per_partition,
-        pa.schema(
-            [
-                ("purchase_id", pa.int64()),
-                ("user_id", pa.int64()),
-                ("click_id", pa.int64()),
-            ]
-        ),
         batch_format="pandas",
     )

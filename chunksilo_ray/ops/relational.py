@@ -434,7 +434,7 @@ def _shuffle_inner_join(
         )
 
     return map_partitions(
-        tagged, "__part", join_partition, pa.schema([(c, types[c]) for c in cols_out])
+        tagged, "__part", join_partition
     )
 
 
@@ -517,7 +517,7 @@ def _shuffle_left_join(
         )
 
     return map_partitions(
-        tagged, "__part", join_partition, pa.schema([(c, types[c]) for c in cols_out])
+        tagged, "__part", join_partition
     )
 
 
@@ -645,14 +645,10 @@ def _shuffle_anti_join(
     def finish(t: pa.Table) -> pa.Table:
         return t.rename_columns([left_key, *left_cols])
 
-    # the exchange carries the key as _as_key_array normalized it
-    kt = left_types[left_key]
-    key_type = pa.int64() if pa.types.is_integer(kt) or pa.types.is_floating(kt) else pa.string()
     return map_partitions(
         tagged,
         "__part",
         keep_unmatched_partition,
-        pa.schema([("__key", key_type), *((c, left_types[c]) for c in left_cols)]),
     ).map_batches(finish, batch_format="pyarrow", batch_size=None)
 
 
@@ -1059,7 +1055,6 @@ def frequent_part_pairs(sf_dir: str, min_support: int = 2) -> Dataset:
                        zero_copy_batch=True),
         "__part",
         pairs_in_part,
-        pa.schema([("part_a", pa.int64()), ("part_b", pa.int64())]),
     )
 
     def pair_count(t: pa.Table) -> pa.Table:

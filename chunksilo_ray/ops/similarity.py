@@ -617,14 +617,6 @@ def semdedup(sf_dir: str, k: int = 8, iters: int = 2, tau: float = 0.95) -> Data
         assigned,
         "__part",
         dedup_cluster,
-        pa.schema(
-            [
-                ("vec_id", pa.int64()),
-                ("cluster", pa.int64()),
-                ("keep", pa.int64()),
-                ("dup_of", pa.int64()),
-            ]
-        ),
     )
 
 

@@ -40,10 +40,6 @@ def topk_events_per_user(sf_dir: str, k: int = 3) -> Dataset:
         with_parts(ds, ["user_id"]),
         "__part",
         topk_partition,
-        pa.schema(
-            [("user_id", pa.int64()), ("event_id", pa.int64()), ("value", pa.float64()),
-             ("rank", pa.int64())]
-        ),
         batch_format="pandas",
     )
 

@@ -351,10 +351,6 @@ def tfidf_top_terms(sf_dir: str, k: int = 3) -> Dataset:
         scored,
         "__part",
         topk_partition,
-        pa.schema(
-            [("doc_id", pa.int64()), ("term", pa.string()), ("tf", pa.int64()),
-             ("df", pa.int64()), ("score", pa.float64())]
-        ),
         batch_format="pandas",
     )
 
@@ -611,7 +607,7 @@ def weighted_sample_per_lang(sf_dir: str, k: int = 20) -> Dataset:
     partials = ds.map_batches(
         partial, batch_format="pyarrow", batch_size=None, zero_copy_batch=True
     )
-    return map_partitions(partials, "lang", final, out_schema)
+    return map_partitions(partials, "lang", final)
 
 
 def bpe_pair_counts(sf_dir: str, k: int = 50) -> Dataset:

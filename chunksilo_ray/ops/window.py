@@ -106,15 +106,6 @@ def session_windows(sf_dir: str, gap_minutes: int = 30) -> Dataset:
         with_parts(ds, ["user_id"]),
         "__part",
         sessions_partition,
-        pa.schema(
-            [
-                ("user_id", pa.int64()),
-                ("session_start_us", pa.int64()),
-                ("session_end_us", pa.int64()),
-                ("n_events", pa.int64()),
-                ("value_sum", pa.float64()),
-            ]
-        ),
         batch_format="pandas",
     )
 
@@ -136,13 +127,6 @@ def rolling_daily_per_user(sf_dir: str) -> Dataset:
         with_parts(ds, ["user_id"]),
         "__part",
         running_partition,
-        pa.schema(
-            [
-                ("event_id", pa.int64()),
-                ("user_id", pa.int64()),
-                ("running_value", pa.float64()),
-            ]
-        ),
         batch_format="pandas",
     )
 
@@ -166,14 +150,6 @@ def lag_delta_per_user(sf_dir: str) -> Dataset:
         with_parts(ds, ["user_id"]),
         "__part",
         lag_partition,
-        pa.schema(
-            [
-                ("event_id", pa.int64()),
-                ("user_id", pa.int64()),
-                ("prev_value", pa.float64()),
-                ("delta", pa.float64()),
-            ]
-        ),
         batch_format="pandas",
     )
 
@@ -212,15 +188,6 @@ def latest_event_per_user_type(sf_dir: str) -> Dataset:
         with_parts(compacted, ["user_id"]),
         "__part",
         partition_compact,
-        pa.schema(
-            [
-                ("user_id", pa.int64()),
-                ("event_type", pa.string()),
-                ("ts_us", pa.int64()),
-                ("event_id", pa.int64()),
-                ("value", pa.float64()),
-            ]
-        ),
         batch_format="pandas",
     )
 
@@ -246,7 +213,6 @@ def event_path_per_user(sf_dir: str, k: int = 8) -> Dataset:
         with_parts(ds, ["user_id"]),
         "__part",
         paths_partition,
-        pa.schema([("user_id", pa.int64()), ("path", pa.string())]),
         batch_format="pandas",
     )
 
@@ -343,7 +309,6 @@ def funnel_stages(sf_dir: str) -> pa.Table:
         with_parts(ds, ["user_id"]),
         "__part",
         funnel_partition,
-        pa.schema([("stage", pa.int64()), ("n_users", pa.int64())]),
         batch_format="pandas",
     )
     out = (
@@ -405,7 +370,6 @@ def role_transitions(transcripts_path: str) -> Dataset:
         with_parts(ds, ["conv_id"]),
         "__part",
         part_counts,
-        pa.schema([("role_from", pa.string()), ("role_to", pa.string()), ("cnt", pa.int64())]),
     )
     return (
         partials.groupby(["role_from", "role_to"]).aggregate(Sum("cnt", alias_name="n"))
@@ -600,14 +564,6 @@ def sft_pairs(transcripts_path: str) -> Dataset:
         with_parts(ds, ["conv_id"]),
         "__part",
         pairs,
-        pa.schema(
-            [
-                ("conv_id", pa.string()),
-                ("prompt_turn", pa.int64()),
-                ("prompt", pa.string()),
-                ("response", pa.string()),
-            ]
-        ),
     )
 
 
@@ -657,9 +613,6 @@ def conv_dedup(transcripts_path: str) -> Dataset:
         with_parts(ds, ["conv_id"]),
         "__part",
         digest,
-        pa.schema(
-            [("conv_id", pa.string()), ("conv_sha", pa.string()), ("__part", pa.int64())]
-        ),
     )
 
     def group(t: pa.Table) -> pa.Table:
@@ -683,14 +636,6 @@ def conv_dedup(transcripts_path: str) -> Dataset:
         per_conv,
         "__part",
         group,
-        pa.schema(
-            [
-                ("conv_id", pa.string()),
-                ("conv_sha", pa.string()),
-                ("rep_conv_id", pa.string()),
-                ("group_size", pa.int64()),
-            ]
-        ),
     )
 
 
@@ -869,17 +814,6 @@ def turn_length_percentiles(transcripts_path: str) -> Dataset:
         hist,
         "role",
         pick,
-        pa.schema(
-            [
-                ("role", pa.string()),
-                ("n_turns", pa.int64()),
-                ("len_min", pa.int64()),
-                ("p50", pa.int64()),
-                ("p90", pa.int64()),
-                ("p99", pa.int64()),
-                ("len_max", pa.int64()),
-            ]
-        ),
     )
 
 
@@ -986,9 +920,6 @@ def prompt_prefix_dedup(transcripts_path: str) -> Dataset:
         with_parts(ds, ["conv_id"]),
         "__part",
         digest_first_user,
-        pa.schema(
-            [("conv_id", pa.string()), ("prompt_sha", pa.string()), ("__part", pa.int64())]
-        ),
     )
 
     def group(t: pa.Table) -> pa.Table:
@@ -1012,14 +943,6 @@ def prompt_prefix_dedup(transcripts_path: str) -> Dataset:
         per_conv,
         "__part",
         group,
-        pa.schema(
-            [
-                ("conv_id", pa.string()),
-                ("prompt_sha", pa.string()),
-                ("rep_conv_id", pa.string()),
-                ("group_size", pa.int64()),
-            ]
-        ),
     )
 
 
@@ -1060,9 +983,6 @@ def role_alternation_audit(transcripts_path: str) -> Dataset:
         with_parts(ds, ["conv_id"]),
         "__part",
         audit,
-        pa.schema(
-            [("conv_id", pa.string()), ("n_turns", pa.int64()), ("n_role_repeats", pa.int64())]
-        ),
     )
 
 
@@ -1127,15 +1047,6 @@ def context_window_pack(transcripts_path: str, context_chars: int = 400) -> Data
         ds.map_batches(lengths, batch_format="pyarrow", batch_size=None, zero_copy_batch=True),
         "__part",
         pack,
-        pa.schema(
-            [
-                ("conv_id", pa.string()),
-                ("n_turns", pa.int64()),
-                ("n_kept", pa.int64()),
-                ("chars_kept", pa.int64()),
-                ("start_turn_idx", pa.int64()),
-            ]
-        ),
     )
 
 
@@ -1180,9 +1091,6 @@ def tool_attribution(transcripts_path: str) -> Dataset:
         with_parts(ds, ["conv_id"]),
         "__part",
         ffill,
-        pa.schema(
-            [("conv_id", pa.string()), ("turn_idx", pa.int64()), ("last_tool", pa.string())]
-        ),
     )
 
 
@@ -1229,14 +1137,6 @@ def response_latency(transcripts_path: str) -> Dataset:
         with_parts(ds, ["conv_id"]),
         "__part",
         gaps,
-        pa.schema(
-            [
-                ("conv_id", pa.string()),
-                ("n_pairs", pa.int64()),
-                ("sum_gap_us", pa.int64()),
-                ("max_gap_us", pa.int64()),
-            ]
-        ),
     )
 
 
@@ -1346,14 +1246,6 @@ def conv_partition_skew(transcripts_path: str, parts: int = 64) -> Dataset:
         ds.map_batches(partial, batch_format="pyarrow", batch_size=None, zero_copy_batch=True),
         "__part",
         finish,
-        pa.schema(
-            [
-                ("part", pa.int64()),
-                ("n_convs", pa.int64()),
-                ("n_turns", pa.int64()),
-                ("n_chars", pa.int64()),
-            ]
-        ),
     )
 
 
@@ -1386,9 +1278,6 @@ def qa_length_correlation(transcripts_path: str) -> pa.Table:
         )
         return out.append_column("__part", part_ids(out, ["conv_id"]))
 
-    MOM = pa.schema(
-        [(c, pa.float64()) for c in ("n", "sx", "sy", "sxx", "syy", "sxy")]
-    )
 
     def moments(t: pa.Table) -> pa.Table:
         conv = t["conv_id"].to_numpy(zero_copy_only=False)
@@ -1426,7 +1315,6 @@ def qa_length_correlation(transcripts_path: str) -> pa.Table:
                            zero_copy_batch=True),
             "__part",
             moments,
-            MOM,
         )
         .to_pandas()
         .sum()
@@ -1489,7 +1377,6 @@ def conv_tool_chains(transcripts_path: str, k: int = 12, topn: int = 50) -> Data
             ds.map_batches(light, batch_format="pyarrow", batch_size=None, zero_copy_batch=True),
             "__part",
             chains_partition,
-            pa.schema([("chain", pa.string()), ("n_convs", pa.int64())]),
             batch_format="pandas",
         )
         .groupby("chain")
@@ -1569,7 +1456,6 @@ def role_trigrams(transcripts_path: str) -> Dataset:
             ),
             "__part",
             trigrams,
-            out_schema,
         )
         .groupby(["r1", "r2", "r3"])
         .aggregate(_Sum("n_trigrams", alias_name="n_trigrams"))
@@ -1673,7 +1559,6 @@ def tool_latency_profile(transcripts_path: str) -> Dataset:
             ),
             "__part",
             gaps,
-            out_schema,
         )
         .groupby("tool")
         .aggregate(
@@ -1722,9 +1607,6 @@ def transcript_sessionize(transcripts_path: str, gap_us: int = 1_800_000_000) ->
         )
         return out.append_column("__part", part_ids(out, ["conv_id"]))
 
-    out_schema = pa.schema(
-        [("session_turns", pa.int64()), ("n_sessions", pa.int64())]
-    )
 
     def sessions(t: pa.Table) -> pa.Table:
         conv = t["conv_id"].to_numpy(zero_copy_only=False)
@@ -1755,7 +1637,6 @@ def transcript_sessionize(transcripts_path: str, gap_us: int = 1_800_000_000) ->
             ),
             "__part",
             sessions,
-            out_schema,
         )
         .groupby("session_turns")
         .aggregate(_Sum("n_sessions", alias_name="n_sessions"))
@@ -1834,7 +1715,6 @@ def turn_integrity_audit(transcripts_path: str) -> "pa.Table":
         ),
         "__part",
         audit,
-        out_schema,
     )
     tot = parts.to_pandas().sum()
     return pa.table(
@@ -1867,13 +1747,6 @@ def cohort_retention(sf_dir: str) -> Dataset:
         )
         return g
 
-    out_schema = pa.schema(
-        [
-            ("cohort_week", pa.int64()),
-            ("offset_weeks", pa.int64()),
-            ("n_users", pa.int64()),
-        ]
-    )
 
     def fold(t: pa.Table) -> pa.Table:
         g = (
@@ -1909,7 +1782,6 @@ def cohort_retention(sf_dir: str) -> Dataset:
             ),
             "__part",
             fold,
-            out_schema,
         )
         .groupby(["cohort_week", "offset_weeks"])
         .aggregate(_Sum("n_users", alias_name="n_users"))
@@ -1958,7 +1830,6 @@ def echo_rate_histogram(transcripts_path: str) -> Dataset:
         )
         return out.append_column("__part", part_ids(out, ["conv_id"]))
 
-    out_schema = pa.schema([("echo_bucket", pa.int64()), ("n_pairs", pa.int64())])
 
     def buckets(t: pa.Table) -> pa.Table:
         conv = t["conv_id"].to_numpy(zero_copy_only=False)
@@ -2001,7 +1872,6 @@ def echo_rate_histogram(transcripts_path: str) -> Dataset:
             ),
             "__part",
             buckets,
-            out_schema,
         )
         .groupby("echo_bucket")
         .aggregate(_Sum("n_pairs", alias_name="n_pairs"))
@@ -2056,7 +1926,7 @@ def event_type_bigrams(sf_dir: str) -> Dataset:
         )
 
     agg = (
-        map_partitions(ds, "__part", bigrams, out_schema)
+        map_partitions(ds, "__part", bigrams)
         .groupby(["t1", "t2"])
         .aggregate(_Sum("n_bigrams", alias_name="n_bigrams"))
     )
@@ -2135,7 +2005,6 @@ def conversion_within_window(
         ),
         "__part",
         fold,
-        out_schema,
     )
     tot = parts.to_pandas().sum()
     return pa.table(
@@ -2221,14 +2090,6 @@ def top_users_profile(sf_dir: str, k: int = 20) -> Dataset:
         )
         return g.rename_columns(["user_id", "event_type", "n", "cents"])
 
-    out_schema = pa.schema(
-        [
-            ("user_id", pa.int64()),
-            ("n_events", pa.int64()),
-            ("total_cents", pa.int64()),
-            ("top_type", pa.string()),
-        ]
-    )
 
     def fold(t: pa.Table) -> pa.Table:
         g = (
@@ -2277,7 +2138,6 @@ def top_users_profile(sf_dir: str, k: int = 20) -> Dataset:
         ),
         "__part",
         fold,
-        out_schema,
     )
     return cand.sort(["total_cents", "user_id"], descending=[True, False]).limit(k)
 
@@ -2308,7 +2168,6 @@ def first_tool_distribution(transcripts_path: str) -> Dataset:
         )
         return out.append_column("__part", part_ids(out, ["conv_id"]))
 
-    out_schema = pa.schema([("first_tool", pa.string()), ("n_convs", pa.int64())])
 
     def fold(t: pa.Table) -> pa.Table:
         conv = t["conv_id"].to_numpy(zero_copy_only=False)
@@ -2345,7 +2204,6 @@ def first_tool_distribution(transcripts_path: str) -> Dataset:
             ),
             "__part",
             fold,
-            out_schema,
         )
         .groupby("first_tool")
         .aggregate(_Sum("n_convs", alias_name="n_convs"))

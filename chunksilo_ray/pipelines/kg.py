@@ -24,7 +24,6 @@ import json
 import pathlib
 import shutil
 from concurrent.futures import ThreadPoolExecutor
-from functools import partial
 
 import pyarrow as pa
 import pyarrow.compute as pc
@@ -59,71 +58,56 @@ from ..state.manifest import (
 class ScanStats:
     """Result of the combined one-pass scan over the extracted table."""
 
-    __slots__ = ("dead_total", "norms", "convs")
+    __slots__ = ("dead_total", "norms")
 
-    def __init__(self, dead_total: int, norms: set, convs: set):
+    def __init__(self, dead_total: int, norms: set):
         self.dead_total = dead_total
         self.norms = norms
-        self.convs = convs
 
     @classmethod
     def of(cls, partials) -> "ScanStats":
         """Combine ``scan_partial`` tables."""
         total = 0
         norms: set = set()
-        convs: set = set()
         for b in partials:
             kinds = b["kind"].to_pylist()
             total += int(sum(n for k, n in zip(kinds, b["n_err"].to_pylist()) if k == 0))
-            for k, s in zip(kinds, b["s"].to_pylist()):
-                if k == 1:
-                    norms.add(s)
-                elif k == 2:
-                    convs.add(s)
-        return cls(total, norms, convs)
+            norms.update(s for k, s in zip(kinds, b["s"].to_pylist()) if k == 1)
+        return cls(total, norms)
 
 
 def _flat(a):
     return a.combine_chunks() if isinstance(a, pa.ChunkedArray) else a
 
 
-def scan_partial(t: pa.Table, collect_convs: bool) -> pa.Table:
+def scan_partial(t: pa.Table) -> pa.Table:
     """One extracted block's scan result as a tagged union of rows: the
-    dead-letter count (kind=0), the distinct unknown norms (kind=1), and
-    optionally the distinct conv_ids (kind=2)."""
+    dead-letter count (kind=0) and the distinct unknown norms (kind=1)."""
     from ..stages.canon import batch_distinct_unknown_norms
 
     n_err = int(t.num_rows - t.column("error").null_count)
     norms = _flat(batch_distinct_unknown_norms(t).column("norm"))
-    kinds = [0] + [1] * len(norms)
-    s_parts = [pa.array([None], pa.string()), norms]
-    if collect_convs:
-        convs = _flat(pc.unique(t.column("conv_id")))
-        kinds += [2] * len(convs)
-        s_parts.append(convs)
     return pa.table(
         {
-            "kind": pa.array(kinds, pa.int8()),
-            "n_err": pa.array([n_err] + [0] * (len(kinds) - 1), pa.int64()),
-            "s": pa.concat_arrays([_flat(a) for a in s_parts]),
+            "kind": pa.array([0] + [1] * len(norms), pa.int8()),
+            "n_err": pa.array([n_err] + [0] * len(norms), pa.int64()),
+            "s": pa.concat_arrays([pa.array([None], pa.string()), norms]),
         }
     )
 
 
-def scan_extracted_stats(extracted, collect_convs: bool = False):
+def scan_extracted_stats(extracted):
     """Returns a zero-arg callable (pool-submittable) running ONE streaming
     pass over the extracted dataset that collects, per block, the
-    ``scan_partial`` rows: the dead-letter count, the distinct unknown norms
-    (vocabulary-bounded by construction), and optionally the conv_ids for
-    the incremental manifest. Dead rows stay on the workers
-    (``write_ingest_state`` writes them block by block), so driver memory
-    is O(norm vocab + #convs)."""
+    ``scan_partial`` rows: the dead-letter count and the distinct unknown
+    norms (vocabulary-bounded by construction). Dead rows stay on the
+    workers (``write_ingest_state`` writes them block by block), so driver
+    memory is O(norm vocab), whatever the number of conversations."""
 
     def run() -> ScanStats:
         return ScanStats.of(
             extracted.map_batches(
-                partial(scan_partial, collect_convs=collect_convs),
-                batch_format="pyarrow", batch_size=None, zero_copy_batch=True,
+                scan_partial, batch_format="pyarrow", batch_size=None, zero_copy_batch=True,
             ).iter_batches(batch_format="pyarrow")
         )
 
@@ -142,16 +126,16 @@ def _dead_letter_rows(t: pa.Table) -> pa.Table:
 
 
 def write_ingest_state(
-    out: pathlib.Path, tag: str, stats: ScanStats, extracted, norms: set | None
+    out: pathlib.Path, tag: str, stats: ScanStats, extracted, norms: set
 ) -> None:
-    """Persist what one extracted scan found, as the ``<tag>`` part
-    (``build`` or ``append-<fp8>``) of each table: the dead-letter rows of
-    ``extracted`` under out/dead_letter/<tag>/ (the explicit-policy export
-    of extractor-failed rows, SURVEY.md §4 — only when there are any; one
-    write task per block, so the rows never reach the driver), and, when
-    ``norms`` is given (incremental tracking on), the scan's conv ids as
-    out/state/conv_ids/part-<tag>.parquet plus ``norms`` as
-    out/state/distinct_norms.parquet."""
+    """Persist what one extracted scan found: the dead-letter rows of
+    ``extracted`` under out/dead_letter/<tag>/ (``tag`` is ``build`` or
+    ``append-<fp8>``; the explicit-policy export of extractor-failed rows,
+    SURVEY.md §4 — only when there are any; one write task per block, so
+    the rows never reach the driver), and ``norms``, the distinct unknown
+    norms of everything ingested so far, as out/state/distinct_norms.parquet.
+    Which conversations are ingested is not state of its own: it is the
+    ``conv_id`` column of the extracted checkpoints build_info.json lists."""
     if stats.dead_total:
         dest = out / "dead_letter" / tag
         shutil.rmtree(dest, ignore_errors=True)  # left by a killed attempt
@@ -164,21 +148,15 @@ def write_ingest_state(
             dest,
             "part-",
         )
-    if norms is not None:
-        state = out / "state"
-        (state / "conv_ids").mkdir(parents=True, exist_ok=True)
-        pq.write_table(
-            pa.table({"conv_id": pa.array(sorted(stats.convs), pa.string())}),
-            state / "conv_ids" / f"part-{tag}.parquet",
-        )
-        pq.write_table(
-            pa.table({"norm": pa.array(sorted(norms), pa.string())}),
-            state / "distinct_norms.parquet",
-        )
+    (out / "state").mkdir(exist_ok=True)
+    pq.write_table(
+        pa.table({"norm": pa.array(sorted(norms), pa.string())}),
+        out / "state" / "distinct_norms.parquet",
+    )
 
 
-# key of the extracted manifest's metrics that records which ingest state the
-# build's scan wrote (see build_kg)
+# key of the extracted manifest's metrics that records the canonical map whose
+# ingest state the build's scan wrote (see build_kg)
 SCAN_RECORD = "ingest_state"
 
 
@@ -242,7 +220,6 @@ def build_kg(
     # returns and starts no Ray Data execution.
     link_cfg = cfg.section("linking")
     canon_cfg = cfg.section("canon")
-    track = bool(cfg.get("incremental.track"))
     asm_fp = fingerprint(in_fp, "assemble")
     ext_fp = fingerprint(asm_fp, "extract", sorted(link_cfg.items()))
     cmap_fp = fingerprint(ext_fp, "canon", sorted(canon_cfg.items()))
@@ -262,8 +239,7 @@ def build_kg(
         chunks_ckpt = StageCheckpoint(out_dir, "chunks", chunks_fp)
 
     cmap = load_canonical_map(out, cmap_fp)
-    scan_key = {"cmap_fp": cmap_fp, "track": track}
-    record = _scan_record(out, ext_ckpt, scan_key) if cmap is not None else None
+    record = _scan_record(out, ext_ckpt, cmap_fp) if cmap is not None else None
     ext_open = record is None or not (edges_ckpt.complete() and nodes_ckpt.complete())
     asm_open = (
         not asm_ckpt.complete()
@@ -310,11 +286,10 @@ def build_kg(
 
         # ONE combined scan over the pinned extracted blocks collects the
         # dead-letter count (the extractor marks failed rows with a non-null
-        # ``error``), the distinct unknown norms canonicalization needs, and
-        # (when incremental tracking is on) the per-block distinct conv_ids
-        # the append flow's membership check reads. It runs when the build
-        # has no recorded result for this extracted table, canonical map and
-        # tracking setting, or the state that result describes is gone.
+        # ``error``) and the distinct unknown norms canonicalization needs.
+        # It runs when the build has no recorded result for this extracted
+        # table and canonical map, or the state that result describes is
+        # gone.
         #
         # the scan is SMALL (one pass over pinned blocks + a tiny driver
         # drain) but a full streaming execution nonetheless — its executor
@@ -325,9 +300,7 @@ def build_kg(
         # contention). Its result is first needed at canon time below.
         scan_future = None
         if record is None:
-            scan_future = scan_pool.submit(
-                scan_extracted_stats(extracted, collect_convs=track)
-            )
+            scan_future = scan_pool.submit(scan_extracted_stats(extracted))
 
         # ---- side branch: chunk + embed --------------------------------------
         # built right after extraction, so its background checkpoint write
@@ -382,42 +355,37 @@ def build_kg(
             # ---- incremental-ingest state + dead-letter surfacing -----------
             # state/ carries what `append_kg` (pipelines/kg_append.py) needs
             # to fold a new day of conversations in WITHOUT touching the base
-            # corpus again: the conv-id manifest (membership check), the
-            # distinct unknown norms (canonical-map extension), and the build
-            # parameters. dead_letter/ rows are counted in metrics AND
-            # persisted as a queryable Parquet partition. The build's state
-            # replaces every append's parts, since the graph it wrote holds
-            # none of their conversations; any older scan record is voided
-            # first, so a run killed midway rescans.
+            # corpus again: the distinct unknown norms (canonical-map
+            # extension) and the build parameters, whose ``appends`` list
+            # names the extracted checkpoints that hold every ingested
+            # conv id (membership check). dead_letter/ rows are counted in
+            # metrics AND persisted as a queryable Parquet partition. The
+            # graph the build wrote holds no append's conversations, so its
+            # state lists none; any older scan record is voided first, so a
+            # run killed midway rescans.
             void_scan_record(out)
             shutil.rmtree(out / "dead_letter", ignore_errors=True)
-            if track:
-                shutil.rmtree(out / "state" / "conv_ids", ignore_errors=True)
-            write_ingest_state(out, "build", stats, extracted, stats.norms if track else None)
-            if track:
-                (out / "state" / "build_info.json").write_text(
-                    json.dumps(
-                        {
-                            "transcripts_path": str(transcripts_path),
-                            "alias_path": str(alias_path),
-                            "code_fp": code_fp,
-                            "in_fp": in_fp,
-                            "cmap_fp": cmap_fp,
-                            "edges_fp": edges_fp,
-                            "edges_agg_fp": edges_agg_fp,
-                            "nodes_fp": nodes_fp,
-                            "appends": [],
-                            "sections": {
-                                k: dict(cfg.section(k))
-                                for k in ("linking", "canon", "incremental")
-                            },
-                        },
-                        indent=1,
-                    )
+            write_ingest_state(out, "build", stats, extracted, stats.norms)
+            (out / "state" / "build_info.json").write_text(
+                json.dumps(
+                    {
+                        "transcripts_path": str(transcripts_path),
+                        "alias_path": str(alias_path),
+                        "code_fp": code_fp,
+                        "in_fp": in_fp,
+                        "cmap_fp": cmap_fp,
+                        "edges_fp": edges_fp,
+                        "edges_agg_fp": edges_agg_fp,
+                        "nodes_fp": nodes_fp,
+                        "appends": [],
+                        "sections": {k: dict(cfg.section(k)) for k in ("linking", "canon")},
+                    },
+                    indent=1,
                 )
+            )
             # the scan's result is kept with the checkpoint it was taken
             # over, written last: a later run reuses it instead of rescanning
-            record = {"dead_letter_turns": stats.dead_total, SCAN_RECORD: scan_key}
+            record = {"dead_letter_turns": stats.dead_total, SCAN_RECORD: cmap_fp}
             ext_ckpt.record_metrics(record)
 
     dead_letter_turns = record["dead_letter_turns"]
@@ -443,23 +411,17 @@ def build_kg(
     }
 
 
-def _scan_record(out: pathlib.Path, ext_ckpt: StageCheckpoint, key: dict) -> dict | None:
+def _scan_record(out: pathlib.Path, ext_ckpt: StageCheckpoint, cmap_fp: str) -> dict | None:
     """The scan result a previous build recorded in ``ext_ckpt``'s manifest,
-    when it was taken over this extracted checkpoint for this canonical map
-    and tracking setting (``key``) and the ingest state it wrote is still on
-    disk; else None."""
+    when it was taken over this extracted checkpoint for the canonical map
+    ``cmap_fp`` and the ingest state it wrote is still on disk; else None."""
     m = ext_ckpt.manifest()
     if not m or m.get("fingerprint") != ext_ckpt.fp:
         return None
     record = m.get("metrics", {})
-    if record.get(SCAN_RECORD) != key:
+    if record.get(SCAN_RECORD) != cmap_fp:
         return None
-    state = out / "state"
-    files = (
-        [state / "conv_ids" / "part-build.parquet", state / "distinct_norms.parquet",
-         state / "build_info.json"]
-        if key["track"] else []
-    )
+    files = [out / "state" / "distinct_norms.parquet", out / "state" / "build_info.json"]
     if record["dead_letter_turns"]:
         files.append(out / "dead_letter" / "build")
     return record if all(f.exists() for f in files) else None

@@ -6,10 +6,12 @@ deleted, re-embed only the changed files) at CONVERSATION granularity:
 
     append_kg(out_dir, new_day.parquet)
       1. membership check  — the new input's conv_ids (a column read of its
-         files on the driver) are a small set; one task per file of the
-         persisted conv-id manifest (out/state/) filters that file against
-         them, so already-ingested conversations are skipped WITHOUT the
-         manifest ever being collected whole (scale direction: small side
+         files on the driver) are a small set; the ingested ones are the
+         conv_id column of the extracted checkpoints build_info.json lists
+         (the build's out/extracted/ and each recorded append's). One task
+         per checkpoint filters its part files against the delta set, so
+         already-ingested conversations are skipped WITHOUT the ingested
+         set ever being collected whole (scale direction: small side
          broadcast, big side streams).
       2. delta extract     — over the new conversations only, checkpointed
          under out/append/<batch_fp>/ so a killed append resumes. A small
@@ -33,8 +35,11 @@ deleted, re-embed only the changed files) at CONVERSATION granularity:
          base parts kept (remapped on drift) + delta parts; edges_agg:
          merge_edges_agg; nodes: merge_nodes_agg of the delta's per-batch
          counts — each one pass through the build's SHUFFLE #3 exchange.
-      5. state update      — the delta's conv ids, dead letters and the norm
-         union, the new canonical map, then build_info.json.
+      5. state update      — the delta's dead letters and the norm union, the
+         new canonical map, then build_info.json, whose new ``appends``
+         entry adds the delta's extracted checkpoint to the ingested set.
+         Until that last write, a rerun does not count the delta as
+         ingested.
 
 Invariant (gated in tests/test_round5c.py): append(A, B) produces byte-equal
 edges_agg / nodes / edges tables to a one-shot rebuild over A + B, because
@@ -116,20 +121,33 @@ def _input_files(path: str) -> list[str]:
 
 
 @ray.remote
-def _conv_hits(path: str, convs: pa.Array) -> list[str]:
-    t = pq.read_table(path, columns=["conv_id"])
-    return t.filter(pc.is_in(t["conv_id"], value_set=convs))["conv_id"].to_pylist()
+def _conv_hits(paths: list[str], convs: pa.Array) -> list[str]:
+    hits = []
+    for path in paths:
+        t = pq.read_table(path, columns=["conv_id"])
+        hit = t.filter(pc.is_in(t["conv_id"], value_set=convs))["conv_id"]
+        hits += pc.unique(hit).to_pylist()
+    return hits
 
 
-def _ingested(conv_manifest_dir: pathlib.Path, convs: set) -> set:
+def _ingested(out: pathlib.Path, info: dict, convs: set) -> set:
     """Membership check: which of ``convs`` (the delta's conv ids, a day's
-    batch — small) the persisted conv-id manifest already holds. One task
-    per manifest file filters it against the broadcast delta set, so
-    nothing manifest-sized ever lands on the driver."""
+    batch — small) are already ingested, i.e. in the ``conv_id`` column of
+    the build's extracted checkpoint or of an append's that ``info``
+    (build_info.json) records. One task per checkpoint filters its part
+    files against the broadcast delta set, so nothing corpus-sized ever
+    lands on the driver."""
     want = ray.put(pa.array(sorted(convs), pa.string()))
-    hits = ray.get(
-        [_conv_hits.remote(str(f), want) for f in sorted(conv_manifest_dir.glob("*.parquet"))]
-    )
+    tasks = []
+    for root in [out] + [out / "append" / a["batch_fp"] for a in info["appends"]]:
+        ckpt = StageCheckpoint(str(root), "extracted", "")
+        m = ckpt.manifest()
+        if m is None:
+            raise FileNotFoundError(
+                f"{ckpt.manifest_path} missing — the build state is inconsistent; rebuild"
+            )
+        tasks.append(_conv_hits.remote([str(ckpt.dir / p["file"]) for p in m["parts"]], want))
+    hits = ray.get(tasks)
     return {c for h in hits for c in h}
 
 
@@ -202,16 +220,14 @@ def append_kg(
     cfg: Config | None = None,
 ) -> dict:
     """Fold ``new_transcripts`` (a Parquet file/dir of conversations) into
-    the KG previously built at ``out_dir`` by build_kg with incremental
-    tracking on. Returns {"edges", "edges_agg", "nodes", "metrics"}."""
+    the KG previously built at ``out_dir`` by build_kg. Returns
+    {"edges", "edges_agg", "nodes", "metrics"}."""
     cfg = cfg or Config()
     out = pathlib.Path(out_dir)
     state = out / "state"
     info_path = state / "build_info.json"
     if not info_path.exists():
-        raise FileNotFoundError(
-            f"{info_path} missing — run build_kg with incremental.track=true first"
-        )
+        raise FileNotFoundError(f"{info_path} missing — run build_kg first")
     info = json.loads(info_path.read_text())
     # the delta must be extracted and canonicalized with the base's settings,
     # or the folded graph equals neither rebuild
@@ -233,7 +249,7 @@ def append_kg(
     for f in files:
         for b in pq.ParquetFile(f).iter_batches(columns=["conv_id"]):
             delta_convs.update(pc.unique(b["conv_id"]).to_pylist())
-    skipped = _ingested(state / "conv_ids", delta_convs)
+    skipped = _ingested(out, info, delta_convs)
     new_convs = delta_convs - skipped
     if not new_convs:
         return {
@@ -270,7 +286,7 @@ def append_kg(
             )])
         )
         delta_t = pa.concat_tables(ray.get(list(extracted.to_arrow_refs())))
-        stats = ScanStats.of([scan_partial(delta_t, collect_convs=True)])
+        stats = ScanStats.of([scan_partial(delta_t)])
     else:
         delta = rd.read_parquet(new_transcripts)
         if skipped:
@@ -280,7 +296,7 @@ def append_kg(
             )
         assembled = asm_ckpt.run(lambda: assemble_dialogues(delta))
         extracted = ext_ckpt.run(lambda: link_extract(assembled, ray.put(alias_table), **link_cfg))
-        stats = scan_extracted_stats(extracted, collect_convs=True)()
+        stats = scan_extracted_stats(extracted)()
 
     # ---- 3. canonical map extension + drift remap ----------------------------
     canon_cfg = cfg.section("canon")

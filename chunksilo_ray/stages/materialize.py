@@ -195,7 +195,7 @@ def _keyed_sum(inputs: list[Dataset], schema: pa.Schema) -> Dataset:
         for ds in inputs
     ]
     merged = tagged[0].union(*tagged[1:]) if len(tagged) > 1 else tagged[0]
-    return map_partitions(merged, "__part", keyed_sum, schema)
+    return map_partitions(merged, "__part", keyed_sum)
 
 
 def materialize_edges_agg(edges: Dataset) -> Dataset:

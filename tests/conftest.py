@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import json
+import pathlib
 import shutil
 
 import pytest
@@ -38,3 +40,24 @@ def tmp_out(tmp_path):
     out = tmp_path / "out"
     yield str(out)
     shutil.rmtree(out, ignore_errors=True)
+
+
+@pytest.fixture()
+def ingested_convs():
+    """Reads a built KG directory's ingested conv ids: the ``conv_id``
+    column of the extracted checkpoints its state/build_info.json lists
+    (the build's, plus one per recorded append)."""
+    import pyarrow.parquet as pq
+
+    def read(out_dir) -> set:
+        out = pathlib.Path(out_dir)
+        info = json.loads((out / "state" / "build_info.json").read_text())
+        convs = set()
+        for root in [out] + [out / "append" / a["batch_fp"] for a in info["appends"]]:
+            ext = root / "extracted"
+            for part in json.loads((ext / "_MANIFEST.json").read_text())["parts"]:
+                t = pq.read_table(ext / part["file"], columns=["conv_id"])
+                convs.update(t["conv_id"].to_pylist())
+        return convs
+
+    return read

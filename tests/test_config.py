@@ -30,4 +30,9 @@ def test_no_inert_sections_or_runtime_keys():
     assert "assembly" not in DEFAULTS
     assert set(DEFAULTS["runtime"]) == {"target_max_block_size"}
     assert set(DEFAULTS["linking"]) == {"max_ngram", "batch_size", "per_row_seconds"}
-    assert set(DEFAULTS["incremental"]) == {"track"}
+    assert "incremental" not in DEFAULTS
+
+    def leaves(d):
+        return sum(leaves(v) if isinstance(v, dict) else 1 for v in d.values())
+
+    assert leaves(DEFAULTS) == 27

@@ -70,7 +70,7 @@ def test_map_partitions_more_partitions_than_keys():
         g = b.group_by("k").aggregate([("v", "count")])
         return pa.table({"k": g["k"].cast(pa.string()), "n": g["v_count"]})
 
-    out = map_partitions(tagged, "__part", count, schema).materialize()
+    out = map_partitions(tagged, "__part", count).materialize()
     blocks = ray.get(out.to_arrow_refs())
     assert len(blocks) > len(keys)  # some sort partitions hold no key
     rows = [r for b in blocks for r in b.to_pylist()]

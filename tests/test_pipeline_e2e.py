@@ -94,30 +94,23 @@ def test_noop_resume_starts_no_execution(smoke_corpus, tmp_out, with_chunks, lin
         _assert_same_rows(again[name], first[name])
 
 
-STATE_FILES = ("state/conv_ids/part-build.parquet", "state/distinct_norms.parquet",
-               "state/build_info.json")
+STATE_FILES = ("state/distinct_norms.parquet", "state/build_info.json")
 
 
-@pytest.mark.parametrize("change", ["state_deleted", "tracking_turned_on", "state_write_killed"])
+@pytest.mark.parametrize("change", ["state_deleted", "state_write_killed"])
 def test_resume_rescans_when_the_state_is_not_the_builds(
     smoke_corpus, tmp_path, monkeypatch, change
 ):
     """A resume whose ingest state is missing or unfinished rescans the
-    extracted table once and writes the state a tracked build writes."""
-    from chunksilo_ray.config import Config
+    extracted table once and writes the state a build writes."""
     from chunksilo_ray.pipelines import kg
     from chunksilo_ray.state.manifest import StageCheckpoint
 
     ref, out = tmp_path / "ref", tmp_path / "kg"
     _run(smoke_corpus, str(ref), with_chunks=False)
-    if change == "tracking_turned_on":
-        _run(smoke_corpus, str(out), cfg=Config({"incremental": {"track": False}}),
-             with_chunks=False)
-        assert not (out / "state").exists()
-    else:
-        _run(smoke_corpus, str(out), with_chunks=False)
-        assert _count_executions(lambda: _run(smoke_corpus, str(out), with_chunks=False))[1] == 0
-        shutil.rmtree(out / "state")
+    _run(smoke_corpus, str(out), with_chunks=False)
+    assert _count_executions(lambda: _run(smoke_corpus, str(out), with_chunks=False))[1] == 0
+    shutil.rmtree(out / "state")
     if change == "state_write_killed":
         # the state is written in full, then the run dies before it records
         # the scan: the record of the earlier build must not vouch for it

@@ -23,16 +23,15 @@ def _run(smoke_corpus, out_dir, **kw):
     )
 
 
-def test_state_persisted_for_append(smoke_corpus, tmp_out):
-    """A tracked build leaves out/state/ with the conv-id manifest, the
-    distinct-norm vocabulary, and the build parameters `append_kg` needs."""
+def test_state_persisted_for_append(smoke_corpus, tmp_out, ingested_convs):
+    """A build leaves out/state/ with the distinct-norm vocabulary and the
+    build parameters `append_kg` needs; the extracted checkpoint they list
+    holds every ingested conv id."""
     res = _run(smoke_corpus, tmp_out, with_chunks=False)
     state = pathlib.Path(tmp_out) / "state"
 
-    conv_ids = pq.read_table(str(state / "conv_ids"))
-    convs = set(conv_ids["conv_id"].to_pylist())
     src = pq.read_table(f"{smoke_corpus}/transcripts.parquet", columns=["conv_id"])
-    assert convs == set(src["conv_id"].to_pylist())
+    assert ingested_convs(tmp_out) == set(src["conv_id"].to_pylist())
 
     info = json.loads((state / "build_info.json").read_text())
     norms = pq.read_table(str(state / "distinct_norms.parquet"))
@@ -43,7 +42,7 @@ def test_state_persisted_for_append(smoke_corpus, tmp_out):
     assert set(cmap) <= set(norms["norm"].to_pylist())
     assert info["alias_path"].endswith("alias_index.parquet")
     assert info["appends"] == []
-    assert "canon" in info["sections"]
+    assert set(info["sections"]) == {"linking", "canon"}
 
     # clean corpus: no dead letters, no dead_letter partition
     assert res["metrics"]["dead_letter_turns"] == 0
@@ -72,15 +71,6 @@ def test_resume_reuses_canonical_map(smoke_corpus, tmp_out, monkeypatch):
     assert load_canonical_map(tmp_out, info["cmap_fp"]) == saved
 
 
-def test_tracking_opt_out(smoke_corpus, tmp_path):
-    from chunksilo_ray.config import Config
-
-    cfg = Config({"incremental": {"track": False}})
-    out = str(tmp_path / "kg_untracked")
-    _run(smoke_corpus, out, cfg=cfg, with_chunks=False)
-    assert not (pathlib.Path(out) / "state").exists()
-
-
 def test_dead_letter_partition(smoke_corpus, tmp_path):
     """Poison policy e2e: with a zero per-row wall-clock budget every row
     dead-letters; the rows land in a queryable out/dead_letter/ Parquet
@@ -100,3 +90,32 @@ def test_dead_letter_partition(smoke_corpus, tmp_path):
     assert all(e.startswith("TimeBudgetExceeded") for e in errs)
     # dead-lettered rows emit no triples: the graph is empty
     assert res["metrics"]["edges"] == 0
+
+
+def test_scan_holds_no_conv_ids_on_the_driver(smoke_corpus, tmp_path):
+    """What the extracted scan brings to the driver is bounded by the norm
+    vocabulary: per block one dead-letter count row plus one row per
+    distinct unknown norm, and no conv id, even when every row dead-letters."""
+    from chunksilo_ray.config import Config
+    from chunksilo_ray.pipelines.kg import ScanStats, scan_extracted_stats, scan_partial
+    from chunksilo_ray.stages.canon import batch_distinct_unknown_norms
+    from chunksilo_ray.state.manifest import StageCheckpoint
+
+    cfg = Config({"linking": {"per_row_seconds": 0.0}})
+    out = str(tmp_path / "kg_poison")
+    _run(smoke_corpus, out, cfg=cfg, with_chunks=False)
+    extracted = StageCheckpoint(out, "extracted", "").read()
+    src = pq.read_table(f"{smoke_corpus}/transcripts.parquet", columns=["conv_id"])
+    convs = set(src["conv_id"].to_pylist())
+
+    for t in extracted.iter_batches(batch_format="pyarrow", batch_size=None):
+        norms = batch_distinct_unknown_norms(t)["norm"].to_pylist()
+        part = scan_partial(t)
+        assert part["kind"].to_pylist() == [0] + [1] * len(norms)
+        assert part["s"].to_pylist()[1:] == norms
+        assert not set(part["s"].to_pylist()) & convs
+
+    stats = scan_extracted_stats(extracted)()
+    assert ScanStats.__slots__ == ("dead_total", "norms")
+    assert stats.dead_total == src.num_rows
+    assert not stats.norms & convs

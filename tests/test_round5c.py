@@ -83,7 +83,7 @@ def _assert_equals_rebuild(res, full):
     )
 
 
-def test_append_equals_rebuild(split_corpus, rebuild, tmp_path):
+def test_append_equals_rebuild(split_corpus, rebuild, tmp_path, ingested_convs):
     from chunksilo_ray.pipelines.kg import build_kg
     from chunksilo_ray.pipelines.kg_append import append_kg
     from chunksilo_ray.stages.canon import load_canonical_map
@@ -101,11 +101,11 @@ def test_append_equals_rebuild(split_corpus, rebuild, tmp_path):
     full_out, full = rebuild
     _assert_equals_rebuild(res2, full)
 
-    # state advanced: the manifest now covers both days; build_info records it
+    # state advanced: build_info records the append, and the extracted
+    # checkpoints it lists cover both days
     state = pathlib.Path(inc_out) / "state"
-    convs = set(pq.read_table(str(state / "conv_ids"))["conv_id"].to_pylist())
     merged_src = pq.read_table(str(split_corpus / "merged"), columns=["conv_id"])
-    assert convs == set(merged_src["conv_id"].to_pylist())
+    assert ingested_convs(inc_out) == set(merged_src["conv_id"].to_pylist())
     info = json.loads((state / "build_info.json").read_text())
     assert len(info["appends"]) == 1
 
@@ -213,6 +213,28 @@ def test_append_idempotent(split_corpus, tmp_path):
     ).num_rows
 
 
+def test_an_append_missing_from_build_info_is_not_ingested(split_corpus, tmp_path):
+    """An append counts as ingested only once build_info.json lists it, the
+    append's last write: with its entry removed, as a kill just before that
+    write leaves it, re-running the same append folds its conversations
+    instead of returning a no-op."""
+    from chunksilo_ray.pipelines.kg_append import append_kg
+
+    out = tmp_path / "kg"
+    _build_day1(split_corpus, out)
+    first = append_kg(str(out), str(split_corpus / "day2.parquet"))
+    assert first["metrics"]["new_convs"] > 0
+    info_path = out / "state" / "build_info.json"
+    info = json.loads(info_path.read_text())
+    info["appends"] = []
+    info_path.write_text(json.dumps(info, indent=1))
+
+    again = append_kg(str(out), str(split_corpus / "day2.parquet"))
+    assert again["metrics"]["noop"] is False
+    assert again["metrics"]["new_convs"] == first["metrics"]["new_convs"]
+    assert again["metrics"]["skipped_existing_convs"] == 5
+
+
 def test_append_cli(split_corpus, tmp_path):
     from chunksilo_ray.cli import main
 
@@ -312,7 +334,9 @@ def _build_day1(split_corpus, out, cfg=None):
 @pytest.mark.parametrize(
     "linking", [{}, {"per_row_seconds": 0.0}], ids=["default", "dead_letters"]
 )
-def test_small_and_exchange_append_paths_agree(split_corpus, tmp_path, monkeypatch, linking):
+def test_small_and_exchange_append_paths_agree(
+    split_corpus, tmp_path, monkeypatch, ingested_convs, linking
+):
     """The same append through the small-delta path (default budget) and
     the exchange path (budget 0) writes the same graph and ingest state;
     a zero per-row budget dead-letters every delta row."""
@@ -349,8 +373,7 @@ def test_small_and_exchange_append_paths_agree(split_corpus, tmp_path, monkeypat
     assert info == info_exch | {"appends": [a | {"path": "small"} for a in info_exch["appends"]]}
     assert load_canonical_map(small, info["cmap_fp"]) == load_canonical_map(exch, info["cmap_fp"])
     tag = info["appends"][0]["batch_fp"][:8]
-    conv_part = f"state/conv_ids/part-append-{tag}.parquet"
-    assert _rows(small / conv_part) == _rows(exch / conv_part)
+    assert ingested_convs(small) == ingested_convs(exch)
     assert _rows(small / "state/distinct_norms.parquet") == _rows(exch / "state/distinct_norms.parquet")
     dead = f"dead_letter/append-{tag}"
     assert (small / dead).exists() == (exch / dead).exists() == bool(linking)
