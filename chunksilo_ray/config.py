@@ -46,7 +46,7 @@ DEFAULTS: dict[str, Any] = {
         "shingle_k": 3,  # character shingles over normalized surfaces
         "jaccard_threshold": 0.6,
         "cosine_threshold": 0.90,  # secondary verify on BoW embeddings
-        "max_group": 256,  # cap pairs per LSH bucket (skew guard)
+        "max_group": 256,  # largest LSH bucket paired (skew guard; the build raises past it)
         "max_pairs": 2_000_000,  # driver union-find edge-list cap (the build raises past it)
     },
     "runtime": {

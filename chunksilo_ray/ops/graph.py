@@ -2042,8 +2042,6 @@ def kg_predicate_entropy(edges_agg: Dataset) -> Dataset:
     Scale shape: per-block Arrow group_by (subj, pred) Sum partials, ONE
     subj-keyed exchange of the pre-aggregated light rows, vectorized
     bincount entropy per partition."""
-    import ray  # noqa: F401  (engine-wide convention: graph ops run under Ray)
-
 
     def partial(t: pa.Table) -> pa.Table:
         g = (
@@ -2107,21 +2105,6 @@ def kg_edge_timestamps(
     (conv_id, turn_idx) is the transcripts primary key."""
     import ray.data as rd
     from ray.data.aggregate import Min, Sum
-
-
-    union_schema = pa.schema(
-        [
-            ("side", pa.int64()),
-            ("conv_id", pa.string()),
-            ("turn_idx", pa.int64()),
-            ("ts_us", pa.int64()),
-            ("subj", pa.string()),
-            ("pred", pa.string()),
-            ("obj", pa.string()),
-            ("w", pa.int64()),
-            ("__part", pa.int64()),
-        ]
-    )
 
     def t_side(t: pa.Table) -> pa.Table:
         conv = t["conv_id"].to_numpy(zero_copy_only=False)
@@ -2257,7 +2240,6 @@ def kg_schema_profile(ea: Dataset) -> Dataset:
     count partial -> tiny pred-keyed sum (the corpus_datasheet pattern);
     only the final per-predicate rows (vocabulary-bounded) reach the
     driver, where the three profiles merge by predicate."""
-    import pandas as pd
 
     def base_part(t: pa.Table) -> pa.Table:
         g = t.group_by("pred", use_threads=False).aggregate(
@@ -2492,8 +2474,6 @@ def kg_path_census(edges_agg: Dataset) -> Dataset:
     |P| x |P| predicate rows (vocabulary-bounded, NOT degree-bounded, so
     hubs cost the same as leaves); per-partition (pred1, pred2) partials
     meet in a final |P|^2-row combine."""
-    import ray  # noqa: F401
-
 
     def partial(t: pa.Table) -> pa.Table:
         go = (
@@ -2546,8 +2526,6 @@ def kg_path_census(edges_agg: Dataset) -> Dataset:
     )
 
     def cross(t: pa.Table) -> pa.Table:
-        import pandas as pd
-
         g = (
             t.select(["node", "pred", "n_in", "n_out"])
             .group_by(["node", "pred"], use_threads=False)
@@ -2606,8 +2584,6 @@ def kg_reciprocity(edges_agg: Dataset) -> Dataset:
     ONE pair-keyed exchange; a group of size 2 is a reciprocal pair (size
     > 2 is impossible and fails loud); per-partition per-pred partials
     meet in a |P|-row combine."""
-    import ray  # noqa: F401
-
 
     def partial(t: pa.Table) -> pa.Table:
         t = t.filter(pc.invert(pc.equal(t["subj"], t["obj"])))
@@ -2693,9 +2669,6 @@ def kg_star_query(
     to (subj, pred, n) partials; ONE subj-keyed exchange; the all-preds
     test is a vectorized distinct-pred bincount per subject. Output is
     bounded by the rarest predicate's subject count."""
-    import ray  # noqa: F401
-
-
     want = sorted(set(preds))
 
     def partial(t: pa.Table) -> pa.Table:
@@ -2791,8 +2764,6 @@ def kg_entity_roles(edges_agg: Dataset) -> Dataset:
     per side per block), ONE (pred, entity)-keyed exchange where Max-folded
     flags make the membership test exact, per-partition per-pred counts,
     |P|-row combine."""
-    import ray  # noqa: F401
-
 
     def partial(t: pa.Table) -> pa.Table:
         outs = []
@@ -2913,8 +2884,6 @@ def kg_pred_confusion(edges_agg: Dataset) -> Dataset:
     group holds at most |P| rows, so the in-partition self-merge fans out
     <= |P|^2 per entity pair (vocabulary-bounded, hub-safe); |P|^2-row
     final combine."""
-    import ray  # noqa: F401
-
 
     def partial(t: pa.Table) -> pa.Table:
         g = t.select(["subj", "obj", "pred"])
@@ -2925,8 +2894,6 @@ def kg_pred_confusion(edges_agg: Dataset) -> Dataset:
     )
 
     def combos(t: pa.Table) -> pa.Table:
-        import pandas as pd
-
         df = t.select(["subj", "obj", "pred"]).to_pandas()
         m = df.merge(df, on=["subj", "obj"], suffixes=("1", "2"))
         m = m[m["pred1"] < m["pred2"]]
@@ -2972,8 +2939,6 @@ def conv_entity_richness(edges: Dataset, topn: int = 50) -> Dataset:
     mention count riding along; ONE conv-keyed exchange; per-partition
     counts are segment folds and only per-block top-n candidates reach the
     driver merge."""
-    import ray  # noqa: F401
-
 
     def partial(t: pa.Table) -> pa.Table:
         outs = []
@@ -3041,8 +3006,6 @@ def kg_edge_confidence(edges_agg: Dataset) -> Dataset:
     Scale shape: ONE (subj, pred)-keyed exchange of the already-distinct
     triples; per partition the group totals are a bincount broadcast back
     by inverse index — no second pass, no driver state."""
-    import ray  # noqa: F401
-
 
     def partial(t: pa.Table) -> pa.Table:
         g = t.select(["subj", "pred", "obj", "weight"])

@@ -180,7 +180,7 @@ def heavy_hitter_users(sf_dir: str, threshold: int = 75) -> Dataset:
 
         m = cached_get(cms_ref)
         vals = t["user_id"].to_numpy(zero_copy_only=False)
-        uniq, inv, cnt = np.unique(vals, return_inverse=True, return_counts=True)
+        uniq, cnt = np.unique(vals, return_counts=True)
         if not len(uniq):
             return pa.table(
                 {"user_id": pa.array([], t["user_id"].type),

@@ -564,7 +564,7 @@ def weighted_sample_per_lang(sf_dir: str, k: int = 20) -> Dataset:
     )
 
     def _topk(lang: np.ndarray, did: np.ndarray, pr: np.ndarray) -> pa.Table:
-        codes, inv = np.unique(lang, return_inverse=True)
+        _, inv = np.unique(lang, return_inverse=True)
         order = np.lexsort((did, pr, inv))
         gi = inv[order]
         starts = np.concatenate([[0], np.nonzero(gi[1:] != gi[:-1])[0] + 1])

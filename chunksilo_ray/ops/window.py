@@ -382,7 +382,7 @@ def tool_usage(transcripts_path: str) -> Dataset:
     block (distinct (role, tool, conv) rows), one small exchange."""
     import pyarrow as pa
     import ray.data as rd
-    from ray.data.aggregate import Count, Sum
+    from ray.data.aggregate import Sum
 
     ds = rd.read_parquet(transcripts_path, columns=["conv_id", "role", "tool"])
 
@@ -419,8 +419,6 @@ def tool_usage(transcripts_path: str) -> Dataset:
                 "n_convs": g["conv_id_count"].cast(pa.int64()),
             }
         )
-
-    from ray.data.aggregate import Max
 
     return (
         per_conv.map_batches(finish, batch_format="pyarrow", batch_size=None)

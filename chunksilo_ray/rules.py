@@ -3,9 +3,11 @@ single-process oracle.
 
 The spec itself (predicate vocabulary, cue regexes, mention rules, thresholds)
 lives here exactly once so the two *independent implementations* — the
-vectorized Ray stages (chunksilo_ray.stages.*) and the plain-Python oracle
-(chunksilo_ray.oracle.extractor) — cannot drift on constants while still
-exercising different execution paths. Role/tool-aware predicates per the
+vectorized Ray stages (chunksilo_ray.stages.*, whose extraction runs the
+columnar kernel ``extraction_core.extract_columns``) and the plain-Python
+oracle (chunksilo_ray.oracle.extractor, on the per-row kernel
+``scan_mentions`` / ``triples_for_turn``) — cannot drift on constants while
+still exercising different execution paths. Role/tool-aware predicates per the
 north rule; cue patterns modeled on the reference's rule-style normalizers
 (reference src/chunksilo/search.py:381-425 for ID normalization).
 

@@ -22,7 +22,6 @@ EXACTLY (all candidate pairs, no LSH) — the P/R gate absorbs LSH misses.
 
 from __future__ import annotations
 
-import logging
 import os
 import pathlib
 import zlib
@@ -39,7 +38,6 @@ from ray.data.aggregate import Count
 from .. import rules
 from .embed import bow_hash_embed
 
-logger = logging.getLogger(__name__)
 
 _MERSENNE = (1 << 61) - 1
 
@@ -120,14 +118,21 @@ class _BandRows:
         )
 
 
+def _check_bucket(size: int, max_group: int) -> None:
+    """Skew guard: pairing a bucket past ``max_group`` norms is refused.
+    Dropping its pairs instead would leave the canonical map wrong with
+    nothing to show for it, so the build stops."""
+    if size > max_group:
+        raise ValueError(
+            f"LSH bucket of {size} norms exceeds canon.max_group={max_group}; "
+            "raise canon.max_group"
+        )
+
+
 def _candidate_pairs_group(max_group: int):
     def fn(t: pa.Table) -> pa.Table:
         norms = sorted(set(t.column("norm").to_pylist()))
-        if len(norms) > max_group:
-            logger.warning(
-                "LSH bucket capped: %d norms > max_group=%d (skew guard)", len(norms), max_group
-            )
-            norms = norms[:max_group]
+        _check_bucket(len(norms), max_group)
         left: list[str] = []
         right: list[str] = []
         for i in range(len(norms)):
@@ -322,9 +327,7 @@ def _driver_lsh_map(
         if len(members) < 2:
             continue
         ms = sorted(set(members))
-        if len(ms) > max_group:
-            logger.warning("LSH bucket capped: %d norms > max_group=%d", len(ms), max_group)
-            ms = ms[:max_group]
+        _check_bucket(len(ms), max_group)
         for i in range(len(ms)):
             for j in range(i + 1, len(ms)):
                 pair = (ms[i], ms[j])

@@ -15,36 +15,76 @@ One stage computes BOTH nested outputs per turn —
 explode from one checkpointed dataset instead of re-running the scan. Turn
 atomicity is trivially preserved: a turn's mentions/triples live in its own
 row, so batch boundaries can never split a turn.
+
+Each batch runs the columnar kernel (``extraction_core.extract_columns``):
+Arrow compute tokenizes the batch, and Python work is per distinct token,
+per distinct alias n-gram and per match longer than one token, not per
+token position. The per-row kernel (``extract_rows``, the oracle's scan)
+re-runs a batch only when the columnar pass cannot vouch for the per-row
+time budget or cannot take the batch (see ``extract_batch``).
 """
 
 from __future__ import annotations
+
+import logging
 
 import pyarrow as pa
 
 from ray.data import Dataset
 
-from ..extraction_core import AliasIndex, scan_mentions, triples_for_turn
-
-MENTION_STRUCT = pa.struct(
-    [
-        ("entity_id", pa.string()),
-        ("surface", pa.string()),
-        ("norm", pa.string()),
-        ("entity_type", pa.string()),
-        ("known", pa.bool_()),
-    ]
+from ..extraction_core import (
+    MENTION_STRUCT,
+    TRIPLE_STRUCT,
+    AliasIndex,
+    TokenClass,
+    extract_columns,
+    scan_mentions,
+    triples_for_turn,
 )
-TRIPLE_STRUCT = pa.struct([("subj", pa.string()), ("pred", pa.string()), ("obj", pa.string())])
+
+logger = logging.getLogger(__name__)
+
+
+def _with_outputs(t: pa.Table, mentions, triples, errors) -> pa.Table:
+    keep = [c for c in ("conv_id", "turn_idx", "role", "tool", "ts") if c in t.column_names]
+    out = t.select(keep)
+    out = out.append_column("mentions", mentions)
+    out = out.append_column("triples", triples)
+    return out.append_column("error", errors)
 
 
 def extract_batch(
     t: pa.Table,
     alias: AliasIndex,
-    token_cache: dict[str, tuple[str, ...]],
+    token_memo: dict[str, TokenClass],
     per_row_seconds: float,
 ) -> pa.Table:
-    """The per-batch extraction kernel of ``link_extract``: per-row mention
-    scan + triple rules, with a wall-clock budget per row."""
+    """The per-batch extraction kernel of ``link_extract``: the columnar
+    kernel (``extract_columns``) over the whole batch, with a wall-clock
+    budget per row.
+
+    A columnar pass that took at most ``per_row_seconds`` over the whole
+    batch cannot have let any row exceed its budget, so its output stands.
+    A slower pass, one that raised, or a batch with a null ``text`` or
+    ``role`` re-runs through the per-row loop (``extract_rows``), which
+    times and dead-letters each row."""
+    import time
+
+    if t.column("text").null_count == 0 and t.column("role").null_count == 0:
+        t0 = time.monotonic()
+        try:
+            mentions, triples = extract_columns(t, alias, token_memo)
+        except Exception:  # noqa: BLE001 - the per-row loop dead-letters the faulty rows
+            logger.warning("columnar extraction failed; re-running the batch per row", exc_info=True)
+        else:
+            if time.monotonic() - t0 <= per_row_seconds:
+                return _with_outputs(t, mentions, triples, pa.nulls(t.num_rows, pa.string()))
+    return extract_rows(t, alias, per_row_seconds)
+
+
+def extract_rows(t: pa.Table, alias: AliasIndex, per_row_seconds: float) -> pa.Table:
+    """Per-row mention scan + triple rules (the oracle's kernel), each row
+    timed against ``per_row_seconds``."""
     import time
 
     roles = t.column("role").to_pylist()
@@ -63,7 +103,7 @@ def extract_batch(
         # dead letter is a first-class column).
         try:
             row_t0 = time.monotonic()
-            ms = scan_mentions(texts[r], alias, token_cache)
+            ms = scan_mentions(texts[r], alias)
             ts3 = triples_for_turn(roles[r], tools[r], texts[r], ms, alias)
             elapsed = time.monotonic() - row_t0
             if elapsed > per_row_seconds:
@@ -96,22 +136,23 @@ def extract_batch(
         )
         triples_col.append([{"subj": s, "pred": p, "obj": o} for s, p, o in ts3])
 
-    keep = [c for c in ("conv_id", "turn_idx", "role", "tool", "ts") if c in t.column_names]
-    out = t.select(keep)
-    out = out.append_column("mentions", pa.array(mentions_col, pa.list_(MENTION_STRUCT)))
-    out = out.append_column("triples", pa.array(triples_col, pa.list_(TRIPLE_STRUCT)))
-    out = out.append_column("error", pa.array(errors_col, pa.string()))
-    return out
+    return _with_outputs(
+        t,
+        pa.array(mentions_col, pa.list_(MENTION_STRUCT)),
+        pa.array(triples_col, pa.list_(TRIPLE_STRUCT)),
+        pa.array(errors_col, pa.string()),
+    )
 
 
 # worker-global state for the stateless-task stage: the alias index is built
 # ONCE per worker process (keyed by broadcast ref + build params) and the
-# token-tuple memo lives for the worker's lifetime — the task twin of doing the
-# work in an actor's __init__, minus the actor-process startup (tasks reuse
-# warm workers; a fresh actor pool pays a process spawn + import per actor on
-# every pipeline run — measured 1-2 s per stage in BASELINE.md's traces)
+# per-distinct-token class memo lives for the worker's lifetime — the task
+# twin of doing the work in an actor's __init__, minus the actor-process
+# startup (tasks reuse warm workers; a fresh actor pool pays a process spawn
+# + import per actor on every pipeline run — measured 1-2 s per stage in
+# BASELINE.md's traces)
 _WORKER_ALIAS: dict[tuple[str, int], AliasIndex] = {}
-_WORKER_TOKENS: dict[str, tuple[str, ...]] = {}
+_WORKER_TOKENS: dict[str, TokenClass] = {}
 
 
 def _worker_alias_index(alias_ref, max_ngram: int) -> AliasIndex:

@@ -330,6 +330,29 @@ def test_canon_max_pairs_raises_instead_of_truncating():
         canon.build_canonical_map(rd.from_arrow(t), driver_threshold=0, max_pairs=1)
 
 
+def test_canon_max_group_raises_instead_of_truncating():
+    # an LSH bucket over max_group norms would have to drop candidate
+    # pairs; both the driver and the distributed path stop the build
+    import ray.data as rd
+
+    from chunksilo_ray.stages import canon
+
+    # equal shingle sets, so all three share a bucket in every band
+    surfaces = ["flumetrics", "flu-metrics", "flume-trics", "zorpdash"]
+    t = pa.table(
+        {
+            "norm": pa.array(surfaces, pa.string()),
+            "known": pa.array([False] * len(surfaces), pa.bool_()),
+        }
+    )
+    assert canon.build_canonical_map(rd.from_arrow(t), max_group=3)
+    for driver_threshold in (200_000, 0):
+        with pytest.raises(ValueError, match=r"3 norms exceeds canon.max_group=2"):
+            canon.build_canonical_map(
+                rd.from_arrow(t), driver_threshold=driver_threshold, max_group=2
+            )
+
+
 # ---------------------------------------------------------------------------
 # per-row wall-clock budget in the extraction kernel
 
@@ -340,15 +363,24 @@ def test_link_time_budget_dead_letters_slow_row(monkeypatch):
     from chunksilo_ray import extraction_core
 
     real_scan = extraction_core.scan_mentions
+    real_columns = extraction_core.extract_columns
 
     def slow_scan(text, alias, cache=None):
         if "SLOWMARKER" in text:
             time.sleep(0.25)
         return real_scan(text, alias, cache)
 
-    # patch the name the link module resolves at call time (local kernel
+    def slow_columns(t, alias, memo):
+        # a slow row makes the whole columnar pass slow, so the batch
+        # re-runs through the per-row loop that times each row
+        if any("SLOWMARKER" in s for s in t.column("text").to_pylist()):
+            time.sleep(0.25)
+        return real_columns(t, alias, memo)
+
+    # patch the names the link module resolves at call time (local kernel
     # call, no remote task involved — the guard logic itself is under test)
     monkeypatch.setattr(link_mod, "scan_mentions", slow_scan)
+    monkeypatch.setattr(link_mod, "extract_columns", slow_columns)
 
     alias = extraction_core.AliasIndex.from_arrow(datagen.alias_table(), max_ngram=3)
     t = pa.table(
