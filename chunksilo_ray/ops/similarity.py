@@ -15,6 +15,8 @@ import ray
 import ray.data as rd
 from ray.data import Dataset
 
+from ..stages.embed import embedding_matrix
+
 
 def _emb(sf_dir: str) -> Dataset:
     return rd.read_parquet(f"{sf_dir}/embeddings.parquet", columns=["vec_id", "embedding"])
@@ -53,7 +55,7 @@ def cosine_topk(sf_dir: str, vec_id: int = 0, k: int = 10) -> "pa.Table":
         from ..util import cached_get
 
         qv = cached_get(q_ref)
-        emb = _normalize(np.asarray(t["embedding"].to_pylist(), dtype=np.float64))
+        emb = _normalize(embedding_matrix(t["embedding"], np.float64))
         sims = emb @ qv
         if len(sims) > k:
             keep = np.argpartition(-sims, k)[:k]
@@ -92,7 +94,7 @@ def knn_join(sf_dir: str, n_queries: int = 8, k: int = 10) -> "pa.Table":
         columns=["vec_id", "embedding"], filter=pads.field("vec_id") < n_queries
     )
     q_ids = np.asarray(qt["vec_id"].to_pylist(), dtype=np.int64)
-    qm = _normalize(np.asarray(qt["embedding"].to_pylist(), dtype=np.float64))
+    qm = _normalize(embedding_matrix(qt["embedding"], np.float64))
     side = ray.put((q_ids, qm.T.copy()))  # d x Q, contiguous for the matmul
 
     def partial(t: pa.Table) -> pa.Table:
@@ -100,7 +102,7 @@ def knn_join(sf_dir: str, n_queries: int = 8, k: int = 10) -> "pa.Table":
 
         ids_q, qmT = cached_get(side)
         vids = np.asarray(t["vec_id"].to_pylist(), dtype=np.int64)
-        emb = _normalize(np.asarray(t["embedding"].to_pylist(), dtype=np.float64))
+        emb = _normalize(embedding_matrix(t["embedding"], np.float64))
         sims = np.round(emb @ qmT, 6)  # (batch, Q) — round BEFORE pruning:
         # the per-batch top-k must use the exact global order (rounded
         # cosine DESC, vec_id ASC), else a boundary tie on the raw float
@@ -242,7 +244,7 @@ def ivf_index(sf_dir: str, n_cells: int = 16) -> tuple[np.ndarray, str]:
         from ..util import cached_get
 
         cents = cached_get(cent_ref)
-        emb = _normalize(np.asarray(t["embedding"].to_pylist(), dtype=np.float64))
+        emb = _normalize(embedding_matrix(t["embedding"], np.float64))
         cell = np.argmax(emb @ cents.T, axis=1).astype(np.int64)
         return t.append_column("cell", pa.array(cell))
 
@@ -300,7 +302,7 @@ def ivf_topk(
         from ..util import cached_get
 
         qv = cached_get(q_ref)
-        emb = _normalize(np.asarray(t["embedding"].to_pylist(), dtype=np.float64))
+        emb = _normalize(embedding_matrix(t["embedding"], np.float64))
         sims = emb @ qv
         if len(sims) > k:
             keep = np.argpartition(-sims, k)[:k]
@@ -342,7 +344,7 @@ def label_centroids(sf_dir: str) -> Dataset:
     ds = rd.read_parquet(f"{sf_dir}/embeddings.parquet", columns=["label", "embedding"])
 
     def partial(t: pa.Table) -> pa.Table:
-        emb = np.asarray(t["embedding"].to_pylist(), dtype=np.float64)
+        emb = embedding_matrix(t["embedding"], np.float64)
         labels = np.asarray(t["label"].to_pylist())
         out_l, out_s, out_n = [], [], []
         for lab in np.unique(labels):
@@ -390,16 +392,7 @@ def quantize_embeddings(sf_dir: str) -> Dataset:
     ds = _emb(sf_dir)
 
     def quant(t: pa.Table) -> pa.Table:
-        col = t["embedding"].combine_chunks()
-        # flatten() already applies the array offset — flat IS exactly the
-        # listed values in order, so reshape directly (slicing by absolute
-        # offsets would double-apply a non-zero array offset)
-        flat = col.flatten().to_numpy(zero_copy_only=False).astype(np.float64)
-        offs = col.offsets.to_numpy(zero_copy_only=False)
-        widths = np.diff(offs)
-        dim = int(widths[0]) if len(widths) else 0
-        assert len(widths) == 0 or (widths == dim).all(), "ragged embedding column"
-        m = flat.reshape(-1, dim) if dim else flat.reshape(0, 0)
+        m = embedding_matrix(t["embedding"], np.float64)
         scale = np.abs(m).max(axis=1, initial=0.0) / 127.0
         safe = np.where(scale == 0.0, 1.0, scale)
         q = np.trunc(m / safe[:, None])
@@ -414,16 +407,6 @@ def quantize_embeddings(sf_dir: str) -> Dataset:
         )
 
     return ds.map_batches(quant, batch_format="pyarrow", batch_size=None, zero_copy_batch=True)
-
-
-def _emb_matrix(t: pa.Table) -> np.ndarray:
-    """Batch embedding column -> (n, dim) float64 matrix, zero-copy flatten."""
-    col = t["embedding"].combine_chunks()
-    flat = col.flatten().to_numpy(zero_copy_only=False).astype(np.float64)
-    widths = np.diff(col.offsets.to_numpy(zero_copy_only=False))
-    dim = int(widths[0]) if len(widths) else 0
-    assert len(widths) == 0 or (widths == dim).all(), "ragged embedding column"
-    return flat.reshape(-1, dim) if dim else flat.reshape(0, 0)
 
 
 def _kmeans_d2(m: np.ndarray, cents: np.ndarray) -> np.ndarray:
@@ -464,7 +447,7 @@ def kmeans_assign(sf_dir: str, k: int = 8, iters: int = 2) -> "pa.Table":
 
     def assign_final(t: pa.Table) -> pa.Table:
         c = cached_get(final_ref)
-        m = _emb_matrix(t)
+        m = embedding_matrix(t["embedding"], np.float64)
         d2 = _kmeans_d2(m, c)
         a = np.argmin(np.round(d2, 6), axis=1)
         return pa.table(
@@ -500,7 +483,7 @@ def _lloyd_centroids(sf_dir: str, k: int, iters: int) -> np.ndarray:
         )  # pragma: no cover - tiny corpus path
         init_t = pa.concat_tables([ray.get(r) for r in init_t])
     init_t = init_t.sort_by("vec_id")
-    cents = _emb_matrix(init_t)
+    cents = embedding_matrix(init_t["embedding"], np.float64)
     dim = cents.shape[1]
 
     ds = _emb(sf_dir)
@@ -508,7 +491,7 @@ def _lloyd_centroids(sf_dir: str, k: int, iters: int) -> np.ndarray:
     def _partial_fn(cent_ref):
         def partial(t: pa.Table) -> pa.Table:
             c = cached_get(cent_ref)
-            m = _emb_matrix(t)
+            m = embedding_matrix(t["embedding"], np.float64)
             assign = np.argmin(np.round(_kmeans_d2(m, c), 6), axis=1)
             sums = np.zeros((k, dim), dtype=np.float64)
             np.add.at(sums, assign, m)
@@ -568,7 +551,7 @@ def semdedup(sf_dir: str, k: int = 8, iters: int = 2, tau: float = 0.95) -> Data
 
     def assign(t: pa.Table) -> pa.Table:
         c = cached_get(final_ref)
-        m = _emb_matrix(t)
+        m = embedding_matrix(t["embedding"], np.float64)
         a = np.argmin(np.round(_kmeans_d2(m, c), 6), axis=1)
         return pa.table(
             {
@@ -586,7 +569,7 @@ def semdedup(sf_dir: str, k: int = 8, iters: int = 2, tau: float = 0.95) -> Data
         # one or more COMPLETE clusters per block (map_partitions contract)
         cl = t["__part"].to_numpy(zero_copy_only=False)
         vid = t["vec_id"].to_numpy(zero_copy_only=False)
-        m = _emb_matrix(t)
+        m = embedding_matrix(t["embedding"], np.float64)
         norms = np.linalg.norm(m, axis=1)
         mn = m / np.maximum(norms, 1e-12)[:, None]
         out_vid, out_cl, out_keep, out_dup = [], [], [], []
@@ -639,7 +622,7 @@ def embedding_pca(sf_dir: str, n_components: int = 8) -> Dataset:
     ds = _emb(sf_dir)
 
     def moments(t: pa.Table) -> pa.Table:
-        m = _emb_matrix(t)
+        m = embedding_matrix(t["embedding"], np.float64)
         d = m.shape[1] if m.size else 0
         s1 = m.sum(axis=0)
         s2 = m.T @ m
@@ -690,7 +673,7 @@ def embedding_pca(sf_dir: str, n_components: int = 8) -> Dataset:
 
     def project(t: pa.Table) -> pa.Table:
         mu, w = cached_get(state)
-        m = _emb_matrix(t)
+        m = embedding_matrix(t["embedding"], np.float64)
         proj = np.round((m - mu) @ w, 6)
         return pa.table(
             {

@@ -11,15 +11,24 @@ Stage order mirrors the reference:
  3. date filter (inclusive, undated rows kept when unbounded —
     search.py:1018-1050)
  4. recency boost score*(1+w*exp(-ln2*age/half_life)) (search.py:1053-1090)
- 5. candidate cap (rerank_candidates) -> rerank -> top rerank_top_k
+ 5. min-score + required-phrase filters, before the cap so that rerank
+    truncation backfills (search.py:1394-1408)
+ 6. candidate cap (rerank_candidates) -> rerank -> top rerank_top_k
     (search.py:1184-1248; the deterministic pass-through scorer of the
     reference's own test suite replaces the cross-encoder, FIXTURES.md §7)
- 6. min-score + required-phrase post-filters (search.py:1394-1408)
  7. location formatting: heading path join + URI (search.py:1251-1330)
 
-Everything is a single streaming pipeline: one map_batches scoring pass
-(query vector broadcast via closure — a few hundred floats), a filter, and
-one global sort+limit for the ranked tail. No full materialization.
+One Ray Data execution per query: one map_batches pass scores, filters,
+boosts and keeps each block's own top-K candidates (the query vector is
+broadcast via closure — a few hundred floats; the embedding matrix is read
+zero-copy off the Arrow buffer, ``stages.embed.embedding_matrix``). The
+per-block top-Ks meet in one block (``repartition(1)``, <= K rows per input
+block) that takes the global top-K, reranks and formats. Every top-K uses
+the total order (score desc, chunk_id asc), so ties at the K boundary do not
+depend on the block layout. No global sort, no full materialization. The
+recency anchor (corpus max ts) is an argument: a server computes it once
+per chunk table (``serve.py``); without it the search runs one more
+execution, a ts-only aggregate.
 """
 
 from __future__ import annotations
@@ -32,7 +41,26 @@ from ray.data import Dataset
 
 from ..config import Config
 from ..functions.textutils import extract_quoted_phrases, preprocess_query, tokenize_surface
-from ..stages.embed import bow_hash_embed, charngram_embed
+from ..stages.embed import bow_hash_embed, charngram_embed, embedding_matrix
+
+# columns a ranked row carries from the chunk table
+_RANKED_COLUMNS = ["chunk_id", "conv_id", "turn_idx", "text", "heading_path", "ts"]
+
+# the ranking's total order: ties on score resolve by chunk_id, the same
+# way in every block layout
+SCORE_ORDER = [("score", "descending"), ("chunk_id", "ascending")]
+
+
+def recency_anchor(chunks: Dataset) -> int:
+    """The recency boost's anchor: the corpus max ``ts`` in microseconds.
+    One aggregate execution over the ``ts`` column only (projection
+    pushdown: a Parquet-backed chunk table reads one column, not the
+    text+embedding payload). A server computes it once per chunk table."""
+    import pandas as pd
+    from ray.data.aggregate import Max
+
+    max_ts = chunks.select_columns(["ts"]).aggregate(Max("ts"))["max(ts)"]
+    return int(pd.Timestamp(max_ts).value // 1000)
 
 
 def search_chunks(
@@ -41,10 +69,14 @@ def search_chunks(
     date_from: str | None = None,
     date_to: str | None = None,
     cfg: Config | None = None,
+    anchor_us: int | None = None,
 ) -> Dataset:
     """Retrieve ranked chunks for ``query``. Returns a small ranked Dataset
-    with columns (chunk_id, conv_id, turn_idx, text, score, heading_path,
-    uri, ts)."""
+    with columns (chunk_id, conv_id, turn_idx, text, score, rerank_score,
+    heading_path, uri, ts).
+
+    ``anchor_us`` is the recency anchor (:func:`recency_anchor` of
+    ``chunks``); ``None`` computes it here, in an execution of its own."""
     cfg = cfg or Config()
     s = cfg.section("search")
     embed_top_k = s["embed_top_k"]
@@ -53,6 +85,7 @@ def search_chunks(
     half_life = s["recency_half_life_days"]
     weight = s["recency_weight"]
     min_score = s["min_score"]
+    n_candidates = max(rerank_candidates, embed_top_k)
 
     phrases, remainder = extract_quoted_phrases(query)
     q = preprocess_query(remainder or query)
@@ -72,25 +105,26 @@ def search_chunks(
         if date_to
         else None
     )
+    anchor = recency_anchor(chunks) if anchor_us is None else anchor_us
 
     def score_batch(t: pa.Table) -> pa.Table:
+        """Score, filter and boost one block, and keep its own top
+        ``n_candidates`` rows: the global top-K is within the union of the
+        per-block ones, so no global sort is needed."""
         n = t.num_rows
-        if n == 0:
-            return _empty_result()
-        emb = np.asarray(t["embedding"].to_pylist(), dtype=np.float32)
+        emb = embedding_matrix(t["embedding"], np.float32)
         cos = emb @ qvec  # embeddings are L2-normalized at embed time
-        texts = t["text"].to_pylist()
-        texts_lower = [x.lower() for x in texts]
         phrase_hit = np.zeros(n, dtype=bool)
         if phrases_lower:
-            for i, x in enumerate(texts_lower):
-                phrase_hit[i] = any(p in x for p in phrases_lower)
-        tools = t["tool"].to_pylist()
-        tool_hit = np.fromiter(
-            (bool(q_tokens & set(tokenize_surface(x))) if x else False for x in tools),
+            for i, x in enumerate(t["text"].to_pylist()):
+                phrase_hit[i] = any(p in x.lower() for p in phrases_lower)
+        # tool match, decided once per distinct tool value of the block
+        tools = pc.unique(t["tool"])
+        tool_match = np.array(
+            [bool(x) and bool(q_tokens & set(tokenize_surface(x))) for x in tools.to_pylist()],
             dtype=bool,
-            count=n,
         )
+        tool_hit = tool_match[pc.index_in(t["tool"], value_set=tools).to_numpy()]
         # fan-out union semantics: vector score, + flat bonuses for exact
         # phrase / tool match (the reference unions candidate SETS; a flat
         # bonus keeps those rows in the candidate pool deterministically)
@@ -105,69 +139,26 @@ def search_chunks(
         if hi is not None:
             keep &= ts <= hi.astype("int64")
         idx = np.flatnonzero(keep)
-        if idx.size == 0:
-            return _empty_result()
-        sub = t.take(pa.array(idx))
-        return pa.table(
-            {
-                "chunk_id": sub["chunk_id"],
-                "conv_id": sub["conv_id"],
-                "turn_idx": sub["turn_idx"],
-                "text": sub["text"],
-                "base_score": pa.array(score[idx], pa.float64()),
-                "phrase_hit": pa.array(phrase_hit[idx], pa.bool_()),
-                "heading_path": sub["heading_path"],
-                "ts": sub["ts"],
-            }
-        )
-
-    scored = chunks.map_batches(
-        score_batch, batch_format="pyarrow", batch_size=None, zero_copy_batch=True
-    )
-
-    # recency boost needs the corpus max ts — aggregate over the ts column
-    # ONLY (projection pushdown: the second pass over a Parquet-backed chunk
-    # table reads one column, not the text+embedding payload)
-    from ray.data.aggregate import Max
-
-    max_ts_val = chunks.select_columns(["ts"]).aggregate(Max("ts"))["max(ts)"]
-    import pandas as pd
-
-    anchor = int(pd.Timestamp(max_ts_val).value // 1000)  # us
-
-    def boost(t: pa.Table) -> pa.Table:
-        ts = t["ts"].cast(pa.int64()).to_numpy(zero_copy_only=False)
-        age_days = np.maximum((anchor - ts) / 86_400_000_000.0, 0.0)
-        base = t["base_score"].to_numpy(zero_copy_only=False)
-        boosted = base * (1.0 + weight * np.exp(-np.log(2.0) * age_days / half_life))
-        t = t.append_column("score", pa.array(boosted, pa.float64()))
-        # min-score + required-phrase filters run BEFORE the candidate cap and
-        # rerank truncation, so rows they remove are backfilled from
-        # lower-ranked candidates (reference order, search.py:1394-1408; the
-        # round-2 post-rerank filter could return < rerank_top_k results even
-        # when qualifying candidates existed)
+        # recency boost, then the min-score + required-phrase filters. They
+        # run BEFORE the candidate cap and rerank truncation, so rows they
+        # remove are backfilled from lower-ranked candidates (reference
+        # order, search.py:1394-1408)
+        age_days = np.maximum((anchor - ts[idx]) / 86_400_000_000.0, 0.0)
+        boosted = score[idx] * (1.0 + weight * np.exp(-np.log(2.0) * age_days / half_life))
         mask = boosted > float(min_score)
         if phrases_lower:
-            mask &= t["phrase_hit"].to_numpy(zero_copy_only=False)
-        return t.filter(pa.array(mask))
-
-    boosted = scored.map_batches(
-        boost, batch_format="pyarrow", batch_size=None, zero_copy_batch=True
-    )
-
-    # candidate cap -> rerank (deterministic lexical cross-scorer standing in
-    # for the cross-encoder; full merge semantics of the reference,
-    # search.py:1204-1241) -> final top-k
-    candidates = boosted.sort("score", descending=True).limit(
-        max(rerank_candidates, embed_top_k)
-    )
+            mask &= phrase_hit[idx]
+        candidates = t.select(_RANKED_COLUMNS).take(pa.array(idx[mask]))
+        candidates = candidates.append_column("score", pa.array(boosted[mask], pa.float64()))
+        return top_k(candidates, n_candidates, SCORE_ORDER)
 
     rerank_backend = s.get("rerank_backend", "lexical")
 
-    def rerank_batch(t: pa.Table) -> pa.Table:
-        # the candidate set is capped (<= rerank_candidates rows) and lives
-        # in ONE block (repartition(1) below) — the merge needs the whole
-        # candidate list, exactly like the reference's in-process rerank
+    def rerank(t: pa.Table) -> pa.Table:
+        # deterministic lexical cross-scorer standing in for the
+        # cross-encoder; full merge semantics of the reference,
+        # search.py:1204-1241. The merge needs the whole candidate list,
+        # exactly like the reference's in-process rerank
         texts = t["text"].to_pylist()
         if rerank_backend == "passthrough":
             # deterministic pass-through "model": echoes the retrieval score,
@@ -182,16 +173,14 @@ def search_chunks(
             results = _lexical_rerank(q_tokens, texts)
         order, scores = merge_reranked(len(texts), results, texts)
         order = order[:rerank_top_k]
-        out = t.take(pa.array(order))
+        out = t.take(pa.array(order, pa.int64()))
         return out.append_column(
             "rerank_score", pa.array([scores[i] for i in order], pa.float64())
         )
 
     def finalize(t: pa.Table) -> pa.Table:
-        # min-score / phrase filters already ran pre-cap (in boost) — this
-        # stage only formats. candidate set is capped (<= rerank_candidates
-        # rows) — plain
-        # python formatting is fine here (search.py:133-151 URI analog)
+        # location formatting on the capped (<= rerank_top_k rows) result:
+        # plain python is fine here (search.py:133-151 URI analog)
         uri = pa.array(
             [
                 f"conv://{c}#{i}"
@@ -215,14 +204,28 @@ def search_chunks(
             }
         )
 
-    # repartition(1): the merge is a whole-candidate-list operation on a
-    # capped (<=100 row) set — one tiny block, order preserved through
-    # finalize (no further sort: merge order IS the ranking)
+    def rank(t: pa.Table) -> pa.Table:
+        # candidate cap (the global top-K of the per-block top-Ks) -> rerank
+        # -> format; merge order IS the ranking, so no further sort
+        return finalize(rerank(top_k(t, n_candidates, SCORE_ORDER)))
+
+    # repartition(1): the per-block top-Ks (<= K rows each) meet in one tiny
+    # block for the candidate cap and the whole-list rerank merge
     return (
-        candidates.repartition(1)
-        .map_batches(rerank_batch, batch_format="pyarrow", batch_size=None)
-        .map_batches(finalize, batch_format="pyarrow", batch_size=None)
+        chunks.map_batches(
+            score_batch, batch_format="pyarrow", batch_size=None, zero_copy_batch=True
+        )
+        .repartition(1)
+        .map_batches(rank, batch_format="pyarrow", batch_size=None)
     )
+
+
+def top_k(t: pa.Table, k: int, order: list[tuple[str, str]]) -> pa.Table:
+    """``t``'s first ``k`` rows in ``order``, in that order (a partial
+    sort: O(n log k))."""
+    if t.num_rows == 0:  # select_k_unstable cannot return an empty result
+        return t
+    return t.take(pc.select_k_unstable(t, k, sort_keys=order))
 
 
 def _lexical_rerank(q_tokens: set[str], texts: list[str]) -> list[dict]:
@@ -275,18 +278,3 @@ def merge_reranked(
             order.append(idx)
             scores[idx] = min_score
     return order, scores
-
-
-def _empty_result() -> pa.Table:
-    return pa.table(
-        {
-            "chunk_id": pa.array([], pa.string()),
-            "conv_id": pa.array([], pa.string()),
-            "turn_idx": pa.array([], pa.int32()),
-            "text": pa.array([], pa.string()),
-            "base_score": pa.array([], pa.float64()),
-            "phrase_hit": pa.array([], pa.bool_()),
-            "heading_path": pa.array([], pa.list_(pa.string())),
-            "ts": pa.array([], pa.timestamp("us")),
-        }
-    )

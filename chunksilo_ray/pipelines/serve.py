@@ -15,6 +15,7 @@ are small (top-k); the scans behind them stream with column pruning."""
 
 from __future__ import annotations
 
+import pathlib
 import time
 
 import pyarrow as pa
@@ -23,18 +24,33 @@ import ray.data as rd
 
 from ..config import Config
 from ..functions.textutils import normalize_surface
-from .search import search_chunks
+from ..state.manifest import MANIFEST_NAME
+from .search import recency_anchor, search_chunks, top_k
 
-# module-level Dataset handles per out_dir (reference module-global caches,
-# search.py:72-76) — lazy Datasets are cheap plans, the cache just avoids
-# re-reading Parquet metadata per request
-_chunk_cache: dict[str, "rd.Dataset"] = {}
+# module-level index handles per out_dir (reference module-global caches,
+# search.py:72-76): the chunk table's lazy Dataset (a cheap plan; caching it
+# avoids re-reading Parquet metadata per request) and its recency anchor
+# (one aggregate execution per table, not per query). Keyed on the chunks
+# manifest, so a rebuild into the same out_dir replaces both: a stale handle
+# lists part files the rebuild removed, and a stale anchor skews every score.
+_chunk_cache: dict[str, tuple[str, "rd.Dataset", int]] = {}
 
 
-def _chunks(out_dir: str) -> "rd.Dataset":
-    if out_dir not in _chunk_cache:
-        _chunk_cache[out_dir] = rd.read_parquet(f"{out_dir}/chunks")
-    return _chunk_cache[out_dir]
+def _chunks(out_dir: str) -> tuple["rd.Dataset", int]:
+    """(chunk Dataset, recency anchor) of ``out_dir``'s current chunk
+    table. A table without a manifest is read afresh on every request."""
+    try:
+        key = (pathlib.Path(out_dir) / "chunks" / MANIFEST_NAME).read_text()
+    except FileNotFoundError:
+        key = None
+    cached = _chunk_cache.get(out_dir)
+    if key is not None and cached is not None and cached[0] == key:
+        return cached[1], cached[2]
+    chunks = rd.read_parquet(f"{out_dir}/chunks")
+    anchor = recency_anchor(chunks)
+    if key is not None:
+        _chunk_cache[out_dir] = (key, chunks, anchor)
+    return chunks, anchor
 
 
 def search_docs(
@@ -47,8 +63,9 @@ def search_docs(
     """Reference `search_docs` tool semantics over the chunks table: ranked
     chunks with location info + matched-conversation rollup + counters."""
     t0 = time.perf_counter()
+    chunks, anchor = _chunks(out_dir)
     ranked = search_chunks(
-        _chunks(out_dir), query, date_from=date_from, date_to=date_to, cfg=cfg
+        chunks, query, date_from=date_from, date_to=date_to, cfg=cfg, anchor_us=anchor
     ).take_all()
     matched: dict[str, float] = {}
     chunks_out = []
@@ -79,6 +96,23 @@ def search_docs(
     }
 
 
+def _top_rows(ds: "rd.Dataset", match, k: int, order: list[tuple[str, str]]) -> list[dict]:
+    """The first ``k`` rows of ``ds`` that ``match`` keeps, in the total
+    ``order``. Each block keeps its own top ``k`` (the global top ``k`` is
+    within their union), and the driver folds them over ``iter_batches``,
+    holding at most ``2k`` rows: one execution, no sort exchange."""
+
+    def block_top(t: pa.Table) -> pa.Table:
+        return top_k(match(t), k, order)
+
+    top = None
+    for b in ds.map_batches(
+        block_top, batch_format="pyarrow", batch_size=None, zero_copy_batch=True
+    ).iter_batches(batch_format="pyarrow", batch_size=None):
+        top = top_k(b if top is None else pa.concat_tables([top, b]), k, order)
+    return top.to_pylist() if top is not None else []
+
+
 def entity_lookup(out_dir: str, surface: str, k: int = 10) -> list[dict]:
     """Resolve a surface form against the nodes table (exact norm match
     first, then prefix fallback), frequency-ranked."""
@@ -90,11 +124,8 @@ def entity_lookup(out_dir: str, surface: str, k: int = 10) -> list[dict]:
         prefix = pc.starts_with(t["canonical"], norm)
         return t.filter(pc.or_(exact, prefix))
 
-    hits = (
-        nodes.map_batches(match, batch_format="pyarrow", batch_size=None, zero_copy_batch=True)
-        .sort("freq", descending=True)
-        .limit(k)
-        .take_all()
+    hits = _top_rows(
+        nodes, match, k, [("freq", "descending"), ("entity_id", "ascending"), ("surface", "ascending")]
     )
     return [
         {"entity_id": r["entity_id"], "canonical": r["canonical"],
@@ -163,11 +194,9 @@ def entity_neighbors(out_dir: str, entity_id: str, k: int = 20) -> list[dict]:
             pc.or_(pc.equal(t["subj"], entity_id), pc.equal(t["obj"], entity_id))
         )
 
-    hits = (
-        edges.map_batches(touch, batch_format="pyarrow", batch_size=None, zero_copy_batch=True)
-        .sort("weight", descending=True)
-        .limit(k)
-        .take_all()
+    hits = _top_rows(
+        edges, touch, k,
+        [("weight", "descending"), ("subj", "ascending"), ("pred", "ascending"), ("obj", "ascending")],
     )
     return [
         {"subj": r["subj"], "pred": r["pred"], "obj": r["obj"], "weight": r["weight"]}

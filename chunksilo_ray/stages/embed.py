@@ -45,6 +45,35 @@ def _string_buffers(arr: pa.Array) -> tuple[np.ndarray, np.ndarray]:
     return offs.astype(np.int64, copy=False), vals
 
 
+def embedding_matrix(col: pa.Array | pa.ChunkedArray, dtype=np.float32) -> np.ndarray:
+    """An embedding column as an ``(n, d)`` ndarray of ``dtype``, read off
+    Arrow's value buffer (``flatten().to_numpy()``): no Python float per
+    element, and a copy only where the column has several chunks or the
+    dtype changes. Takes fixed-size lists and variable lists whose rows
+    all have one width; a sliced column reads only its own rows. Raises
+    ``ValueError`` on a null embedding, a null element or ragged rows."""
+    if isinstance(col, pa.ChunkedArray):
+        col = col.chunk(0) if col.num_chunks == 1 else col.combine_chunks()
+    n = len(col)
+    if col.null_count:
+        raise ValueError(f"embedding column has {col.null_count} null row(s) of {n}")
+    if pa.types.is_fixed_size_list(col.type):
+        dim = col.type.list_size
+    elif pa.types.is_list(col.type) or pa.types.is_large_list(col.type):
+        widths = np.diff(col.offsets.to_numpy())
+        dim = int(widths[0]) if n else 0
+        if (widths != dim).any():
+            raise ValueError(
+                f"ragged embedding column: row widths {sorted(set(widths.tolist()))[:5]}"
+            )
+    else:
+        raise TypeError(f"embedding column must be a list type, got {col.type}")
+    values = col.flatten()
+    if values.null_count:
+        raise ValueError(f"embedding column has {values.null_count} null element(s)")
+    return values.to_numpy(zero_copy_only=False).astype(dtype, copy=False).reshape(n, dim)
+
+
 def bow_hash_embed_arrow(texts: pa.ChunkedArray | pa.Array, dim: int = 384) -> np.ndarray:
     """Vectorized twin of :func:`bow_hash_embed` (parity-tested): same
     ``vec[sum(ord(c) for c in word) % dim] += 1`` contract, computed at C
