@@ -1,11 +1,14 @@
-"""The one coarse-hash exchange: the part count, the partition hash and the
-``__part`` shuffle that the KG build and every partitioned operator use.
+"""The one coarse-hash exchange: the part count, the partition hash, the
+map-side split and the ``__part`` shuffle that the KG build and every
+partitioned operator use.
 
 A stage tags each row with ``part_ids`` of its key (``with_parts`` for a
 whole dataset), then runs its kernel with ``map_partitions(ds, "__part",
-fn)``. Equal keys of the same dtype get the same part in every
-process, so the two sides of a co-group meet as long as both tag through
-``part_ids``."""
+fn)``. A stage that runs its own two-round task graph instead splits each
+map-side table with ``split_by_part`` (or ``split_rows``, given the part of
+every row) and hands slice ``p`` to reduce task ``p``. Equal keys of the
+same dtype get the same part in every process, so the two sides of a
+co-group meet as long as both tag through ``part_ids``."""
 
 from __future__ import annotations
 
@@ -44,6 +47,24 @@ def part_ids(keys, columns: list[str] | None = None, parts: int = PARTS) -> pa.A
             >> np.uint64(33)
         )
     return pa.array((h % np.uint64(parts)).astype(np.int64))
+
+
+def split_rows(t: pa.Table, part: np.ndarray, parts: int) -> list[pa.Table]:
+    """``t`` split into ``parts`` slices, slice ``p`` holding the rows whose
+    ``part`` (an int array, one value in ``[0, parts)`` per row) is ``p``, in
+    their input order: one stable argsort, then ``searchsorted`` bounds and
+    zero-copy slices of the reordered table (a filter per part costs one
+    pass over ``t`` per part)."""
+    order = np.argsort(part, kind="stable")
+    bounds = np.searchsorted(part[order], np.arange(parts + 1))
+    moved = t.take(pa.array(order))
+    return [moved.slice(int(bounds[p]), int(bounds[p + 1] - bounds[p])) for p in range(parts)]
+
+
+def split_by_part(t: pa.Table, columns: list[str], parts: int) -> list[pa.Table]:
+    """The map side of an exchange: ``t`` split into ``parts`` slices by
+    ``part_ids`` of ``columns``."""
+    return split_rows(t, part_ids(t, columns, parts).to_numpy(), parts)
 
 
 def with_parts(ds, columns: list[str]):

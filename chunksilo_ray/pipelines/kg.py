@@ -7,8 +7,13 @@ End-to-end composition (SURVEY.md §3.4 lifecycle):
       -> link_extract          map tasks + broadcast aliases          [ckpt]
       -> build_canonical_map   SHUFFLE #2 (LSH bands) -> driver union-find,
                                saved next to the checkpoints
-      -> materialize edges     shuffle-free, per turn                 [ckpt]
-      -> edges_agg / nodes     SHUFFLE #3 (groupby-aggregate)         [ckpt]
+      -> materialize_graph     ONE two-round task graph over the pinned
+                               extracted blocks: per-turn edges plus
+                               SHUFFLE #3 (per-block partial sums split
+                               by part, one reduce task per part and
+                               kind) for edges_agg / nodes; no Ray Data
+                               execution, no sort     [ckpt: edges,
+                                                      edges_agg, nodes]
     (side branch) assembled -> chunk -> embed                         [ckpt]
 
 Checkpoint boundaries sit right after the shuffles (SURVEY.md §7.4), so a
@@ -20,6 +25,7 @@ here — the driver owns the session.
 
 from __future__ import annotations
 
+import functools
 import json
 import pathlib
 import shutil
@@ -41,11 +47,7 @@ from ..stages.canon import (
 from ..stages.chunk import chunk_turns
 from ..stages.embed import embed_chunks
 from ..stages.link import link_extract
-from ..stages.materialize import (
-    materialize_edges,
-    materialize_edges_agg,
-    materialize_nodes,
-)
+from ..stages.materialize import materialize_graph
 from ..state.manifest import (
     StageCheckpoint,
     _write_blocks,
@@ -240,7 +242,8 @@ def build_kg(
 
     cmap = load_canonical_map(out, cmap_fp)
     record = _scan_record(out, ext_ckpt, cmap_fp) if cmap is not None else None
-    ext_open = record is None or not (edges_ckpt.complete() and nodes_ckpt.complete())
+    graph_ckpts = (edges_ckpt, edges_agg_ckpt, nodes_ckpt)
+    ext_open = record is None or not all(ck.complete() for ck in graph_ckpts)
     asm_open = (
         not asm_ckpt.complete()
         or (ext_open and not ext_ckpt.complete())
@@ -327,20 +330,15 @@ def build_kg(
         _mark("canonical map built")
 
         # ---- stage 4: graph materialize -------------------------------------
-        # edges: shuffle-free (per-turn weights computed in the explode pass);
-        # edges_agg + nodes: partial pre-agg, then the small groupby exchange
-        edges = edges_ckpt.run(
-            lambda: materialize_edges(extracted, cmap), write_executor=writer
+        # one task graph yields all three tables; it runs at the first of
+        # the three checkpoints that is not complete, and each table keeps
+        # its own checkpoint, so a resume rebuilds only the missing ones
+        graph = functools.cache(lambda: materialize_graph(extracted, cmap))
+        edges, edges_agg, nodes = (
+            ck.run(lambda i=i: graph()[i], write_executor=writer)
+            for i, ck in enumerate(graph_ckpts)
         )
-        _mark("edges built")
-        edges_agg = edges_agg_ckpt.run(
-            lambda: materialize_edges_agg(edges), write_executor=writer
-        )
-        _mark("edges_agg built")
-        nodes = nodes_ckpt.run(
-            lambda: materialize_nodes(extracted, cmap), write_executor=writer
-        )
-        _mark("nodes done")
+        _mark("graph built")
 
         # durability barrier: all background checkpoint writes must land
         # before metrics read the manifests / the call returns resumable state

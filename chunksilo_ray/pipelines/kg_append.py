@@ -30,11 +30,12 @@ deleted, re-embed only the changed files) at CONVERSATION granularity:
          and counts are computed in process; its per-turn edges become
          extra edges parts, and its per-key sums fold into edges_agg /
          nodes WITHOUT an exchange (each holds every key once: one task per
-         base part adds the matching sums, the new keys become one extra
-         part, and the new version is swapped in whole). Otherwise: edges
+         base part adds the matching sums, the smallest part also takes
+         the new keys, so the part count stays the base's, and the new
+         version is swapped in whole). Otherwise: edges
          base parts kept (remapped on drift) + delta parts; edges_agg:
          merge_edges_agg; nodes: merge_nodes_agg of the delta's per-batch
-         counts — each one pass through the build's SHUFFLE #3 exchange.
+         counts — each one keyed-sum exchange (``materialize._keyed_sum``).
       5. state update      — the delta's dead letters and the norm union, the
          new canonical map, then build_info.json, whose new ``appends``
          entry adds the delta's extracted checkpoint to the ingested set.
@@ -90,6 +91,7 @@ from ..stages.materialize import (
 )
 from ..state.manifest import (
     StageCheckpoint,
+    _write_blocks,
     code_fingerprint,
     fingerprint,
     input_fingerprint,
@@ -173,44 +175,75 @@ def _extract_delta(
     return extract_table(pa.concat_tables(assembled), alias[0], max_ngram, per_row_seconds)
 
 
-@ray.remote
-def _fold_part(src: str, dst: str, delta: pa.Table, schema: pa.Schema):
+@ray.remote(num_returns=2)
+def _fold_part(
+    src: str, dst: str, delta: pa.Table, schema: pa.Schema, new_keys: bool, *elsewhere
+):
+    """Fold ``delta`` into the base part ``src`` and write the merged part to
+    ``dst``. Returns (rows, bytes) and the mask of the ``delta`` rows this
+    part holds. With ``new_keys``, the part also takes the delta rows that
+    neither it nor any other part holds (``elsewhere``: the other parts'
+    masks)."""
     merged, matched = fold_keyed_sum(pq.read_table(src), delta, schema)
+    if new_keys:
+        held = np.logical_or.reduce([matched, *elsewhere])
+        new = delta.filter(pa.array(~held)).select(merged.column_names).cast(merged.schema)
+        merged = pa.concat_tables([merged, new])
     pq.write_table(merged, dst)
-    return merged.num_rows, os.stat(dst).st_size, matched
+    return (merged.num_rows, os.stat(dst).st_size), matched
 
 
-def _fold_small(ckpt: StageCheckpoint, delta: pa.Table, schema: pa.Schema, tag: str) -> None:
-    """Exchange-free merge of a small keyed ``delta`` into the keyed-sum
-    checkpoint ``ckpt``, which holds each key once: one task per base part
-    adds the matching delta rows and writes the merged part next to the
-    table; the delta rows no part matched (new keys) become one extra part,
-    in the base's schema. The new version is swapped in whole once every
-    file is written (``StageCheckpoint.commit``). A checkpoint already at
-    ``ckpt.fp`` holds the delta: nothing is done."""
-    if ckpt.complete():
-        return
-    base = ckpt.manifest()
-    staged = ckpt.staging_dir()
+def _start_fold(src: pathlib.Path, staged: pathlib.Path, parts: list, delta, schema):
+    """Submit the fold of ``delta`` into the base parts ``parts`` (manifest
+    records of files in ``src``), writing the merged parts to ``staged``:
+    one task per part, the smallest part's task also taking the new keys.
+    Returns a zero-arg callable that waits for the tasks and returns the
+    merged parts' records."""
+    if not parts:  # an empty base: the delta's rows are the table
+        written = _write_blocks(rd.from_arrow(delta), staged, "part-")
+        return lambda: written
     delta_ref = ray.put(delta)
-    files = [p["file"] for p in base["parts"]]
-    results = ray.get(
-        [_fold_part.remote(str(ckpt.dir / f), str(staged / f), delta_ref, schema) for f in files]
-    )
-    matched = np.zeros(delta.num_rows, bool)
-    parts = []
-    for f, (rows, nbytes, hit) in zip(files, results):
-        parts.append({"file": f, "rows": rows, "bytes": nbytes})
-        matched |= hit
-    new_keys = delta.filter(pa.array(~matched))
-    if new_keys.num_rows:
-        if files:
-            target = pq.read_schema(ckpt.dir / files[0])
-            new_keys = new_keys.select(target.names).cast(target)
-        path = staged / f"part-{tag}-000000.parquet"
-        pq.write_table(new_keys, path)
-        parts.append({"file": path.name, "rows": new_keys.num_rows, "bytes": path.stat().st_size})
-    ckpt.commit(staged, parts, base.get("metrics"))
+    smallest = min(range(len(parts)), key=lambda i: parts[i]["rows"])
+
+    def fold(i: int, *elsewhere):
+        f = parts[i]["file"]
+        return _fold_part.remote(
+            str(src / f), str(staged / f), delta_ref, schema, i == smallest, *elsewhere
+        )
+
+    folds = {i: fold(i) for i in range(len(parts)) if i != smallest}
+    folds[smallest] = fold(smallest, *[matched for _, matched in folds.values()])
+
+    def records() -> list[dict]:
+        stats = ray.get([folds[i][0] for i in range(len(parts))])
+        return [
+            {"file": p["file"], "rows": rows, "bytes": nbytes}
+            for p, (rows, nbytes) in zip(parts, stats)
+        ]
+
+    return records
+
+
+def _fold_small(tables: list) -> None:
+    """Exchange-free merge of small keyed deltas into keyed-sum checkpoints.
+    ``tables`` holds (checkpoint, delta, schema) triples; each checkpoint
+    holds every key once. One task per base part adds the matching delta
+    rows and writes the merged part next to the table; the task of the
+    smallest part waits for the others' matches and also appends the delta
+    rows no part holds (new keys), so the part count never grows. Every
+    table's tasks are submitted before any is awaited, so the tables fold
+    side by side; each table's new version is then swapped in whole
+    (``StageCheckpoint.commit``), in the order given. A checkpoint already
+    at its fingerprint holds its delta: it is skipped."""
+    started = []
+    for ckpt, delta, schema in tables:
+        if ckpt.complete():
+            continue
+        base, staged = ckpt.manifest(), ckpt.staging_dir()
+        records = _start_fold(ckpt.dir, staged, base["parts"], delta, schema)
+        started.append((ckpt, base, staged, records))
+    for ckpt, base, staged, records in started:
+        ckpt.commit(staged, records(), base.get("metrics"))
 
 
 def append_kg(
@@ -333,11 +366,11 @@ def append_kg(
         canon = partial(canonicalize_id, cmap=new_map)
         delta_edges = turn_edges(delta_t, canon)
         edges_ckpt.append_parts(rd.from_arrow(delta_edges), tag, edges_fp)
-        _fold_small(edges_agg_ckpt, sum_by_key(delta_edges, _TRIPLE_SUM), _TRIPLE_SUM, tag)
-        _fold_small(
-            nodes_ckpt, node_rows(sum_by_key(mention_counts(delta_t, canon), _NODE_SUM)),
-            _NODE_SUM, tag,
-        )
+        node_sums = sum_by_key(mention_counts(delta_t, canon), _NODE_SUM)
+        _fold_small([
+            (edges_agg_ckpt, sum_by_key(delta_edges, _TRIPLE_SUM), _TRIPLE_SUM),
+            (nodes_ckpt, node_rows(node_sums), _NODE_SUM),
+        ])
     else:
         # consumed twice (edge fold + agg merge): pin once
         delta_edges = materialize_edges(extracted, new_map).materialize()

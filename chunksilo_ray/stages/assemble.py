@@ -28,7 +28,7 @@ import pyarrow.compute as pc
 
 from ray.data import Dataset
 
-from ..exchange import PARTS, part_ids
+from ..exchange import PARTS, part_ids, split_rows
 
 # assembled-turn output schema (per-turn rows, conversation-ordered)
 ASSEMBLED_COLUMNS = [
@@ -80,14 +80,7 @@ def _split_lengths_keyed(block, block_id: int, parts: int) -> list[pa.Table]:
     t = t.append_column("row_idx", pa.array(np.arange(n, dtype=np.int64)))
     enc = pc.dictionary_encode(t["conv_id"].combine_chunks())
     part_u = part_ids(enc.dictionary, parts=parts).to_numpy()
-    part = part_u[enc.indices.to_numpy(zero_copy_only=False)]
-    order = np.argsort(part, kind="stable")
-    sorted_tbl = t.take(pa.array(order))
-    bounds = np.searchsorted(part[order], np.arange(parts + 1))
-    slices = [
-        sorted_tbl.slice(int(bounds[p]), int(bounds[p + 1] - bounds[p]))
-        for p in range(parts)
-    ]
+    slices = split_rows(t, part_u[enc.indices.to_numpy(zero_copy_only=False)], parts)
     return slices if parts > 1 else slices[0]
 
 
@@ -124,22 +117,15 @@ def _reduce_route_part(n_blocks: int, *tables: pa.Table):
 
     blk = t["block_id"].to_numpy(zero_copy_only=False)[order]
     row = t["row_idx"].to_numpy(zero_copy_only=False)[order]
-    # route back by source block: one stable sort on block_id, then
-    # position-addressable slices (searchsorted bounds)
-    border = np.argsort(blk, kind="stable")
-    blk_s = blk[border]
-    bounds = np.searchsorted(blk_s, np.arange(n_blocks + 1))
+    # route back by source block: the source block id is the row's part
     out_tbl = pa.table(
         {
-            "row_idx": pa.array(row[border]),
-            "conv_n_turns": pa.array(n_turns[border]),
-            "turn_char_start": pa.array(local[border], pa.int64()),
+            "row_idx": pa.array(row),
+            "conv_n_turns": pa.array(n_turns),
+            "turn_char_start": pa.array(local, pa.int64()),
         }
     )
-    slices = [
-        out_tbl.slice(int(bounds[b]), int(bounds[b + 1] - bounds[b]))
-        for b in range(n_blocks)
-    ]
+    slices = split_rows(out_tbl, blk, n_blocks)
     return slices if n_blocks > 1 else slices[0]
 
 

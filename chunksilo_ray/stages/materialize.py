@@ -5,6 +5,8 @@ Output schemas (SURVEY.md §1 "Graft output tables"):
 
     edges(subj, pred, obj, conv_id, turn_idx, weight:int64)
         weight = occurrences of the triple within the turn
+    edges_agg(subj, pred, obj, weight:int64)
+        weight = occurrences of the triple in the corpus
     nodes(entity_id, surface, canonical, type, freq:int64)
         one row per (entity_id, surface); freq = mention count
 
@@ -15,12 +17,25 @@ Scale design:
   during the explode, and (subj, pred, obj, conv_id, turn_idx) is unique by
   construction. Canonical-map application happens in the same pass (the map
   is broadcast once via ray.put).
-- ``edges_agg`` (global triple weights) and ``nodes`` DO shuffle. Both, and
-  their incremental merges, are one keyed-sum kernel (``_keyed_sum``): a
-  per-batch partial aggregate, then one ``exchange.map_partitions``, so the
-  exchange moves one row per distinct key per batch. A small append needs
-  no exchange: the written parts already hold each key once, so
-  ``fold_keyed_sum`` adds the delta's per-key sums to them part by part.
+- ``edges_agg`` (global triple weights) and ``nodes`` DO shuffle: a
+  per-block partial keyed sum, split by ``exchange.part_ids`` of the key,
+  then a per-part final sum, so the exchange moves one row per distinct key
+  per block.
+- The build takes all three from ``materialize_graph``: ONE two-round Ray
+  task graph over the pinned extracted blocks. A map task per block runs
+  the explode once and returns the block's per-turn edges plus its triple
+  and mention partials, each split by part; a reduce task per (part, kind)
+  finishes the sum. No Ray Data execution and no sort: per-task memory is
+  O(block) on the map side and O(part) on the reduce side, and the driver
+  holds only refs.
+- Past ``CANON_BROADCAST_LIMIT`` canonical-map entries no worker may hold
+  the map, and the three tables come from ``materialize_edges`` (shuffle
+  apply of the map), ``materialize_edges_agg`` and ``materialize_nodes``.
+  Those, and the incremental merges, run one keyed-sum kernel
+  (``_keyed_sum``): a per-batch partial aggregate, then one
+  ``exchange.map_partitions``. A small append needs no exchange: the
+  written parts already hold each key once, so ``fold_keyed_sum`` adds the
+  delta's per-key sums to them part by part.
 """
 
 from __future__ import annotations
@@ -31,11 +46,11 @@ import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
 import ray
-
+import ray.data as rd
 from ray.data import Dataset
 
 from .. import rules
-from ..exchange import map_partitions, part_ids
+from ..exchange import PARTS, map_partitions, part_ids, split_by_part
 from ..util import cached_get
 from .canon import (
     CANON_BROADCAST_LIMIT,
@@ -295,6 +310,62 @@ def materialize_nodes(
     """Extraction output -> node rows with per-surface frequencies: the
     keyed sum of the per-batch mention counts (``node_counts``)."""
     return _node_rows(_keyed_sum([node_counts(extracted, cmap, broadcast_limit)], _NODE_SUM))
+
+
+def _graph_map(block: pa.Table, cmap_ref: list, parts: int):
+    """Map round of ``materialize_graph`` for one extracted block: its
+    per-turn edges, then ``parts`` slices of its triple sums and ``parts``
+    slices of its mention counts. ``cmap_ref`` holds the canonical map's
+    ref (inside a list, so Ray passes the ref itself and the worker's map
+    memo keys on it)."""
+    if block.num_rows == 0:  # may carry no columns at all
+        return [_EDGE_SUM.empty_table()] * (1 + 2 * parts)
+    canon = _canon_of(cmap_ref[0])
+    edges = turn_edges(block, canon)
+    triples = split_by_part(sum_by_key(edges, _TRIPLE_SUM), _TRIPLE_SUM.names[:-1], parts)
+    counts = split_by_part(mention_counts(block, canon), _NODE_SUM.names[:-1], parts)
+    return [edges, *triples, *counts]
+
+
+def _graph_reduce(nodes: bool, *slices: pa.Table) -> pa.Table:
+    """Reduce round of ``materialize_graph``: one part's slices of the
+    triple sums (``nodes=False``) or mention counts summed per key; node
+    counts become node rows."""
+    schema = _NODE_SUM if nodes else _TRIPLE_SUM
+    live = [t for t in slices if t.num_rows]
+    summed = sum_by_key(pa.concat_tables(live), schema) if live else schema.empty_table()
+    return node_rows(summed) if nodes else summed
+
+
+def materialize_graph(
+    extracted: Dataset, cmap: dict[str, str], broadcast_limit: int | None = None
+) -> tuple[Dataset, Dataset, Dataset]:
+    """Extraction output -> (edges, edges_agg, nodes) under ``cmap``, each
+    a materialized dataset. Under the canonical-map broadcast budget: one
+    two-round task graph over the pinned blocks (module docstring) with
+    ``min(PARTS, blocks)`` parts, so edges has one block per extracted
+    block and edges_agg and nodes one per part. Over it:
+    ``materialize_edges`` (shuffle apply of the map),
+    ``materialize_edges_agg`` of its result and ``materialize_nodes``."""
+    if broadcast_limit is None:
+        broadcast_limit = CANON_BROADCAST_LIMIT
+    if len(cmap) > broadcast_limit:
+        edges = materialize_edges(extracted, cmap, broadcast_limit).materialize()
+        return (
+            edges,
+            materialize_edges_agg(edges).materialize(),
+            materialize_nodes(extracted, cmap, broadcast_limit).materialize(),
+        )
+    blocks = list(extracted.to_arrow_refs())
+    parts = max(1, min(PARTS, len(blocks)))
+    cmap_ref = [ray.put(cmap)]
+    map_task = ray.remote(num_returns=1 + 2 * parts)(_graph_map)
+    mapped = [map_task.remote(b, cmap_ref, parts) for b in blocks]
+    reduce_task = ray.remote(_graph_reduce)
+    agg = [reduce_task.remote(False, *[m[1 + p] for m in mapped]) for p in range(parts)]
+    nodes = [reduce_task.remote(True, *[m[1 + parts + p] for m in mapped]) for p in range(parts)]
+    edges = [m[0] for m in mapped] or [ray.put(_EDGE_SUM.empty_table())]
+    return rd.from_arrow_refs(edges), rd.from_arrow_refs(agg), rd.from_arrow_refs(nodes)
 
 
 def merge_edges_agg(base_agg: Dataset, delta_edges: Dataset) -> Dataset:

@@ -1,6 +1,7 @@
 """The one exchange module: its partition hash is the same in every process
-and pinned to the KG part layout, its ``__part`` shuffle co-locates
-complete key groups, and no other module decides a partition policy."""
+and pinned to the KG part layout, its map-side split hands each part
+exactly its rows, its ``__part`` shuffle co-locates complete key groups,
+and no other module decides a partition policy or splits by part."""
 
 import pathlib
 import re
@@ -12,7 +13,7 @@ import pytest
 import ray
 import ray.data as rd
 
-from chunksilo_ray.exchange import PARTS, map_partitions, part_ids
+from chunksilo_ray.exchange import PARTS, map_partitions, part_ids, split_by_part, split_rows
 
 pytestmark = pytest.mark.usefixtures("ray_session")
 
@@ -56,6 +57,30 @@ def test_part_ids_pin_the_kg_part_layout():
     assert part_ids(_INTS, parts=4).to_pylist() == [0, 0, 1, 0, 2]
 
 
+@pytest.mark.parametrize("parts", [1, 3, 4, PARTS])
+def test_split_by_part_hands_each_part_exactly_its_rows(parts):
+    t = pa.concat_tables([_TRIPLES] * 5).append_column("i", pa.array(range(30)))
+    cols = ["subj", "pred", "obj"]
+    slices = split_by_part(t, cols, parts)
+    assert len(slices) == parts
+    want = part_ids(t, cols, parts).to_numpy()
+    for p, s in enumerate(slices):
+        assert s.schema == t.schema
+        # exactly the rows of part p, in their input order
+        assert s["i"].to_pylist() == np.flatnonzero(want == p).tolist()
+    # the slices together are a permutation of the input
+    assert sorted(pa.concat_tables(slices)["i"].to_pylist()) == list(range(30))
+
+
+def test_split_rows_by_a_given_part_array():
+    t = pa.table({"v": ["a", "b", "c", "d", "e"]})
+    slices = split_rows(t, np.array([2, 0, 2, 0, 0]), 4)
+    assert [s["v"].to_pylist() for s in slices] == [["b", "d", "e"], [], ["a", "c"], []]
+    empty = split_by_part(t.slice(0, 0), ["v"], 3)
+    assert [s.num_rows for s in empty] == [0, 0, 0]
+    assert all(s.schema == t.schema for s in empty)
+
+
 def test_map_partitions_more_partitions_than_keys():
     schema = pa.schema([("k", pa.string()), ("n", pa.int64())])
     keys = ["a", "b", "c"]
@@ -92,6 +117,9 @@ def test_no_partition_policy_outside_the_exchange_module():
         re.compile(r"^\s*_P\s*=\s*64\b", re.M),
         re.compile(r"from\s+\S*util\s+import[^\n]*\bmap_partitions\b"),
         re.compile(r"\butil\.map_partitions\b"),
+        # a map-side split of its own: searchsorted bounds over the parts
+        re.compile(r"arange\(\s*\w*parts\w*\s*\+\s*1\s*\)", re.I),
+        re.compile(r"argsort\(\s*\w*part\b"),
     ]
     hits = []
     for path in sorted(root.rglob("*.py")):

@@ -501,6 +501,81 @@ def test_small_append_killed_during_the_merge_resumes(
     _assert_equals_rebuild(res, rebuild[1])
 
 
+def test_successive_small_appends_keep_the_aggregate_part_count(split_corpus, tmp_path):
+    """Each small append folds its new keys into an existing part, so
+    edges_agg / nodes keep the base's part files however many appends
+    follow, and every append still equals the rebuild over what it has
+    seen. edges gains the delta's rows as parts of their own."""
+    from chunksilo_ray.pipelines.kg import build_kg
+    from chunksilo_ray.pipelines.kg_append import append_kg
+
+    alias = str(split_corpus / "alias_index.parquet")
+    day1 = pq.read_table(split_corpus / "day1.parquet")
+    day2 = pq.read_table(split_corpus / "day2.parquet")
+    new = day2.filter(pa.compute.starts_with(day2["conv_id"], "day2-"))
+    convs = sorted(set(new["conv_id"].to_pylist()))
+    out = tmp_path / "kg"
+    _build_day1(split_corpus, out)
+
+    def part_files(name):
+        return sorted(f.name for f in (out / name).glob("*.parquet"))
+
+    base = {name: part_files(name) for name in ("edges_agg", "nodes")}
+    assert all(base.values())
+    edge_parts = len(part_files("edges"))
+    seen = [day1]
+    for k in range(3):
+        batch = new.filter(pa.compute.is_in(new["conv_id"], value_set=pa.array(convs[k::3])))
+        pq.write_table(batch, tmp_path / f"delta{k}.parquet")
+        seen.append(batch)
+        res = append_kg(str(out), str(tmp_path / f"delta{k}.parquet"))
+        assert res["metrics"]["path"] == "small"
+        assert {name: part_files(name) for name in base} == base
+        for name in ("edges", "edges_agg", "nodes"):
+            _manifest_matches_disk(out / name)
+        (tmp_path / f"seen{k}").mkdir()
+        pq.write_table(pa.concat_tables(seen), tmp_path / f"seen{k}" / "all.parquet")
+        full = build_kg(
+            str(tmp_path / f"seen{k}"), alias, str(tmp_path / f"full{k}"), with_chunks=False
+        )
+        _assert_equals_rebuild(res, full)
+    assert len(part_files("edges")) == edge_parts + 3
+
+
+def test_small_append_onto_an_empty_graph(split_corpus, tmp_path):
+    """A base whose turns name no entity has no edges_agg / nodes parts:
+    the delta's sums become the tables, equal to the rebuild."""
+    from chunksilo_ray.pipelines.kg import build_kg
+    from chunksilo_ray.pipelines.kg_append import append_kg
+
+    n = 4
+    quiet = pa.table({
+        "conv_id": pa.array(["quiet"] * n, pa.string()),
+        "turn_idx": pa.array(range(n), pa.int32()),
+        "role": pa.array(["user", "assistant"] * (n // 2), pa.string()),
+        "text": pa.array(["ok", "sure thing", "thanks", "you are welcome"], pa.string()),
+        "tool": pa.array([""] * n, pa.string()),
+        "ts": pa.array([0] * n, pa.timestamp("us")),
+    })
+    day2 = pq.read_table(split_corpus / "day2.parquet")  # every conv is new here
+    pq.write_table(quiet, tmp_path / "quiet.parquet")
+    (tmp_path / "merged").mkdir()
+    merged = pa.concat_tables([quiet, day2.cast(quiet.schema)])
+    pq.write_table(merged, tmp_path / "merged" / "all.parquet")
+    alias = str(split_corpus / "alias_index.parquet")
+    out = tmp_path / "kg"
+    build_kg(str(tmp_path / "quiet.parquet"), alias, str(out), with_chunks=False)
+    for name in ("edges_agg", "nodes"):
+        assert json.loads((out / name / "_MANIFEST.json").read_text())["parts"] == []
+    res = append_kg(str(out), str(split_corpus / "day2.parquet"))
+    assert res["metrics"]["path"] == "small"
+    for name in ("edges_agg", "nodes"):
+        _manifest_matches_disk(out / name)
+        assert len(list((out / name).glob("*.parquet"))) == 1
+    full = build_kg(str(tmp_path / "merged"), alias, str(tmp_path / "full"), with_chunks=False)
+    _assert_equals_rebuild(res, full)
+
+
 def test_fold_keyed_sum_casts_the_delta_to_the_base_schema():
     """The base part may hold large_string keys (after an exchange); the
     delta's string keys are cast to it before the key join."""
