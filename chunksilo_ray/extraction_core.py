@@ -247,6 +247,15 @@ MENTION_STRUCT = pa.struct(
 )
 TRIPLE_STRUCT = pa.struct([("subj", pa.string()), ("pred", pa.string()), ("obj", pa.string())])
 
+
+def packed_ngram_fits(n_vocab: int, k: int) -> bool:
+    """Whether every ``k``-gram of token ids below ``n_vocab`` packs into one
+    int64 code (base ``n_vocab``, largest code ``n_vocab**k - 1``) without
+    overflow. Where it does not, distinct n-grams are found row-wise
+    (``np.unique(axis=0)``), which gives the same matches."""
+    return n_vocab**k <= 2**63
+
+
 # Complement of RAW_TOKEN_RE's character class. Both are ASCII-only, so a
 # split on runs of it, trimmed of the inner delimiters, yields exactly
 # RAW_TOKEN_RE.findall per row (one token per maximal run holding an
@@ -373,7 +382,7 @@ def _mention_columns(text: pa.Array, alias: AliasIndex, memo: dict[str, TokenCla
         if not p.size:
             continue
         grams = np.stack([ids[p + j] for j in range(k)], axis=1)
-        if n_vocab**k < 2**63:
+        if packed_ngram_fits(n_vocab, k):
             code = grams @ (n_vocab ** np.arange(k, dtype=np.int64))
             _, first, inv = np.unique(code, return_index=True, return_inverse=True)
             distinct = grams[first]

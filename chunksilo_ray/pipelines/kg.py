@@ -4,9 +4,16 @@ End-to-end composition (SURVEY.md §3.4 lifecycle):
 
     read_parquet(transcripts)
       -> assemble_dialogues    SHUFFLE #1 (light rows, by conv_id)    [ckpt]
-      -> link_extract          map tasks + broadcast aliases          [ckpt]
-      -> build_canonical_map   SHUFFLE #2 (LSH bands) -> driver union-find,
-                               saved next to the checkpoints
+      -> ingest_blocks         ONE task per pinned assembled block
+                               (per run of small blocks):
+                               extract (broadcast aliases) + its scan
+                               partial + dead-letter rows   [ckpt: extracted]
+                               and chunk + embed            [ckpt: chunks]
+                               (the onnx backend embeds in an actor-pool
+                               execution of its own)
+      -> build_canonical_map   fold of the scan partials -> SHUFFLE #2
+                               (LSH bands) -> driver union-find, saved next
+                               to the checkpoints
       -> materialize_graph     ONE two-round task graph over the pinned
                                extracted blocks: per-turn edges plus
                                SHUFFLE #3 (per-block partial sums split
@@ -14,12 +21,13 @@ End-to-end composition (SURVEY.md §3.4 lifecycle):
                                kind) for edges_agg / nodes; no Ray Data
                                execution, no sort     [ckpt: edges,
                                                       edges_agg, nodes]
-    (side branch) assembled -> chunk -> embed                         [ckpt]
 
-Checkpoint boundaries sit right after the shuffles (SURVEY.md §7.4), so a
-resumed run skips the expensive exchanges. The extracted scan's result is
-kept in the extracted checkpoint's manifest, so a no-op resume opens only
-the checkpoints it returns and starts no Ray Data execution. No ray.init()
+A cold build starts one Ray Data execution, the read under the assembly;
+every other step is plain Ray tasks over pinned blocks. Checkpoint
+boundaries sit right after the shuffles (SURVEY.md §7.4), so a resumed run
+skips the expensive exchanges. The extracted scan's result is kept in the
+extracted checkpoint's manifest, so a no-op resume opens only the
+checkpoints it returns and starts no Ray Data execution. No ray.init()
 here — the driver owns the session.
 """
 
@@ -32,7 +40,6 @@ import shutil
 from concurrent.futures import ThreadPoolExecutor
 
 import pyarrow as pa
-import pyarrow.compute as pc
 import pyarrow.parquet as pq
 import ray
 import ray.data as rd
@@ -44,9 +51,7 @@ from ..stages.canon import (
     load_canonical_map,
     save_canonical_map,
 )
-from ..stages.chunk import chunk_turns
-from ..stages.embed import embed_chunks
-from ..stages.link import link_extract
+from ..stages.ingest import ingest_blocks, scan_blocks
 from ..stages.materialize import materialize_graph
 from ..state.manifest import (
     StageCheckpoint,
@@ -58,7 +63,7 @@ from ..state.manifest import (
 
 
 class ScanStats:
-    """Result of the combined one-pass scan over the extracted table."""
+    """The extracted scan: the fold of its per-block ``scan_partial`` rows."""
 
     __slots__ = ("dead_total", "norms")
 
@@ -78,78 +83,38 @@ class ScanStats:
         return cls(total, norms)
 
 
-def _flat(a):
-    return a.combine_chunks() if isinstance(a, pa.ChunkedArray) else a
-
-
-def scan_partial(t: pa.Table) -> pa.Table:
-    """One extracted block's scan result as a tagged union of rows: the
-    dead-letter count (kind=0) and the distinct unknown norms (kind=1)."""
-    from ..stages.canon import batch_distinct_unknown_norms
-
-    n_err = int(t.num_rows - t.column("error").null_count)
-    norms = _flat(batch_distinct_unknown_norms(t).column("norm"))
-    return pa.table(
-        {
-            "kind": pa.array([0] + [1] * len(norms), pa.int8()),
-            "n_err": pa.array([n_err] + [0] * len(norms), pa.int64()),
-            "s": pa.concat_arrays([pa.array([None], pa.string()), norms]),
-        }
-    )
-
-
-def scan_extracted_stats(extracted):
-    """Returns a zero-arg callable (pool-submittable) running ONE streaming
-    pass over the extracted dataset that collects, per block, the
-    ``scan_partial`` rows: the dead-letter count and the distinct unknown
-    norms (vocabulary-bounded by construction). Dead rows stay on the
-    workers (``write_ingest_state`` writes them block by block), so driver
-    memory is O(norm vocab), whatever the number of conversations."""
+def scan_extracted_stats(partials: list):
+    """Returns a zero-arg callable folding the ``scan_partial`` refs of an
+    extracted table (one per block: the dead-letter count and the distinct
+    unknown norms, vocabulary-bounded by construction) into ``ScanStats``,
+    one partial at a time. Dead rows stay on the workers
+    (``write_ingest_state`` writes them block by block), so driver memory
+    is O(norm vocab), whatever the number of conversations."""
 
     def run() -> ScanStats:
-        return ScanStats.of(
-            extracted.map_batches(
-                scan_partial, batch_format="pyarrow", batch_size=None, zero_copy_batch=True,
-            ).iter_batches(batch_format="pyarrow")
-        )
+        return ScanStats.of(ray.get(r) for r in partials)
 
     return run
 
 
-def _dead_letter_rows(t: pa.Table) -> pa.Table:
-    dead = t.filter(pc.is_valid(t.column("error")))
-    return pa.table(
-        {
-            "conv_id": pc.cast(dead.column("conv_id"), pa.string()),
-            "turn_idx": pc.cast(dead.column("turn_idx"), pa.int64()),
-            "error": pc.cast(dead.column("error"), pa.string()),
-        }
-    )
-
-
 def write_ingest_state(
-    out: pathlib.Path, tag: str, stats: ScanStats, extracted, norms: set
+    out: pathlib.Path, tag: str, stats: ScanStats, dead: list, norms: set
 ) -> None:
-    """Persist what one extracted scan found: the dead-letter rows of
-    ``extracted`` under out/dead_letter/<tag>/ (``tag`` is ``build`` or
-    ``append-<fp8>``; the explicit-policy export of extractor-failed rows,
-    SURVEY.md §4 — only when there are any; one write task per block, so
-    the rows never reach the driver), and ``norms``, the distinct unknown
-    norms of everything ingested so far, as out/state/distinct_norms.parquet.
-    Which conversations are ingested is not state of its own: it is the
-    ``conv_id`` column of the extracted checkpoints build_info.json lists."""
+    """Persist what one extracted scan found: the dead-letter rows (``dead``,
+    refs of one table per extracted block) under out/dead_letter/<tag>/
+    (``tag`` is ``build`` or ``append-<fp8>``; the explicit-policy export of
+    extractor-failed rows, SURVEY.md §4 — only when there are any; one
+    write task per block, so the rows never reach the driver), and
+    ``norms``, the distinct unknown norms of everything ingested so far, as
+    out/state/distinct_norms.parquet. Which conversations are ingested is
+    not state of its own: it is the ``conv_id`` column of the extracted
+    checkpoints build_info.json lists."""
     if stats.dead_total:
         dest = out / "dead_letter" / tag
         shutil.rmtree(dest, ignore_errors=True)  # left by a killed attempt
         dest.mkdir(parents=True)
-        _write_blocks(
-            extracted.map_batches(
-                _dead_letter_rows, batch_format="pyarrow", batch_size=None,
-                zero_copy_batch=True,
-            ),
-            dest,
-            "part-",
-        )
+        # materialize() binds the refs as the dataset's blocks: no execution
+        _write_blocks(rd.from_arrow_refs(dead).materialize(), dest, "part-")
     (out / "state").mkdir(exist_ok=True)
     pq.write_table(
         pa.table({"norm": pa.array(sorted(norms), pa.string())}),
@@ -244,28 +209,22 @@ def build_kg(
     record = _scan_record(out, ext_ckpt, cmap_fp) if cmap is not None else None
     graph_ckpts = (edges_ckpt, edges_agg_ckpt, nodes_ckpt)
     ext_open = record is None or not all(ck.complete() for ck in graph_ckpts)
-    asm_open = (
-        not asm_ckpt.complete()
-        or (ext_open and not ext_ckpt.complete())
-        or (chunks_ckpt is not None and not chunks_ckpt.complete())
-    )
+    need_ext = ext_open and not ext_ckpt.complete()
+    need_chunks = chunks_ckpt is not None and not chunks_ckpt.complete()
+    asm_open = not asm_ckpt.complete() or need_ext or need_chunks
 
-    # Stage executions run one after another on this thread: overlapping
+    # Stage work runs one stage after another on this thread: overlapping
     # independent Dataset executions on driver threads, measured at sf0.3,
     # lost to strict serialization (61 s vs 85 s at 16 CPUs) — concurrent
     # streaming executions each assume they own the cluster, so they fight
     # over CPU slots, object-store memory and memory bandwidth instead of
-    # pipelining. Two background threads remain, both measured wins: the
-    # checkpoint writer below, and the small extracted scan further down.
-    #
-    # background checkpoint writer: disk-bound durable copies run OFF the
-    # critical path; all futures are awaited before metrics/return. Leaving
-    # the block shuts both pools down, so no thread outlives the call; after
-    # a failure the pending checkpoint writes still land, and a rerun reuses
-    # the stages that finished.
-    with ThreadPoolExecutor(max_workers=2) as writer, ThreadPoolExecutor(
-        max_workers=1
-    ) as scan_pool:
+    # pipelining. One background pool remains, a measured win: the
+    # checkpoint writer. Disk-bound durable copies run OFF the critical
+    # path; all futures are awaited before metrics/return. Leaving the block
+    # shuts the pool down, so no thread outlives the call; after a failure
+    # the pending checkpoint writes still land, and a rerun reuses the
+    # stages that finished.
+    with ThreadPoolExecutor(max_workers=2) as writer:
         # ---- stage 1: assembly (lengths-only exchange) ----------------------
         assembled = None
         if asm_open:
@@ -275,55 +234,44 @@ def build_kg(
             )
             _mark("assembled materialized")
 
-        # ---- stage 2: mention detect + entity link + triple extraction ------
+        # ---- stage 2: ingest tasks over the pinned assembled blocks --------
+        # mention detect + entity link + triple extraction, its scan (the
+        # dead-letter count and rows, and the distinct unknown norms that
+        # canonicalization needs) and chunk + embed, fused into one task per
+        # block (stages/ingest.py); only the halves whose checkpoints are
+        # incomplete run, and the alias table is broadcast only when
+        # extraction does
+        ingest = functools.cache(
+            lambda: ingest_blocks(
+                assembled,
+                ray.put(pq.read_table(alias_path)) if need_ext else None,
+                link_cfg if need_ext else None,
+                chk_cfg if need_chunks else None,
+                emb_cfg if need_chunks else None,
+            )
+        )
         extracted = None
         if ext_open:
-            extracted = ext_ckpt.run(
-                # alias table broadcast once, only when the stage actually runs
-                lambda: link_extract(
-                    assembled, ray.put(pq.read_table(alias_path)), **link_cfg
-                ),
-                write_executor=writer,
-            )
+            extracted = ext_ckpt.run(lambda: ingest().extracted, write_executor=writer)
             _mark("extracted materialized")
-
-        # ONE combined scan over the pinned extracted blocks collects the
-        # dead-letter count (the extractor marks failed rows with a non-null
-        # ``error``) and the distinct unknown norms canonicalization needs.
-        # It runs when the build has no recorded result for this extracted
-        # table and canonical map, or the state that result describes is
-        # gone.
-        #
-        # the scan is SMALL (one pass over pinned blocks + a tiny driver
-        # drain) but a full streaming execution nonetheless — its executor
-        # startup and drain are pure serial time if run inline. It runs on a
-        # background thread UNDER the chunks build (the one overlap that
-        # measured as a win: the big execution's scheduling slack absorbs the
-        # small one, unlike the round-2 big×big overlap that lost to DRAM
-        # contention). Its result is first needed at canon time below.
-        scan_future = None
-        if record is None:
-            scan_future = scan_pool.submit(scan_extracted_stats(extracted))
-
-        # ---- side branch: chunk + embed --------------------------------------
-        # built right after extraction, so its background checkpoint write
-        # overlaps the canon/edges/nodes compute instead of stalling the final
-        # durability barrier
         chunks = None
         if chunks_ckpt is not None:
-            chunks = chunks_ckpt.run(
-                lambda: embed_chunks(chunk_turns(assembled, **chk_cfg), **emb_cfg),
-                write_executor=writer,
-            )
+            chunks = chunks_ckpt.run(lambda: ingest().chunks, write_executor=writer)
             _mark("chunks built")
+
+        # the scan runs when the build has no recorded result for this
+        # extracted table and canonical map, or the state that result
+        # describes is gone: over the ingest tasks' partials, or one task
+        # per block of an extracted checkpoint this run did not write
+        if record is None:
+            scan, dead = (ingest().scan, ingest().dead) if need_ext else scan_blocks(extracted)
+            stats = scan_extracted_stats(scan)()
 
         # ---- stage 3: canonicalization (LSH bands -> driver union-find) -----
         if cmap is None:
-            distinct_norms = scan_future.result().norms
-            _mark("extracted scan drained")
             cmap = build_canonical_map(
                 extracted,  # nested extraction output, pinned blocks
-                norms=distinct_norms,  # collected by the combined scan above
+                norms=stats.norms,  # collected by the scan above
                 **canon_cfg,
             )
             save_canonical_map(out, cmap, cmap_fp)
@@ -349,7 +297,6 @@ def build_kg(
         _mark("checkpoint writes durable")
 
         if record is None:
-            stats = scan_future.result()
             # ---- incremental-ingest state + dead-letter surfacing -----------
             # state/ carries what `append_kg` (pipelines/kg_append.py) needs
             # to fold a new day of conversations in WITHOUT touching the base
@@ -363,7 +310,7 @@ def build_kg(
             # run killed midway rescans.
             void_scan_record(out)
             shutil.rmtree(out / "dead_letter", ignore_errors=True)
-            write_ingest_state(out, "build", stats, extracted, stats.norms)
+            write_ingest_state(out, "build", stats, dead, stats.norms)
             (out / "state" / "build_info.json").write_text(
                 json.dumps(
                     {

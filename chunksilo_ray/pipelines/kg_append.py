@@ -18,8 +18,8 @@ deleted, re-embed only the changed files) at CONVERSATION granularity:
          delta (at most SMALL_DELTA_ROWS input rows, read from the Parquet
          footers) is read and assembled by ONE task and extracted by a
          second, with the build's kernels, each under its stage checkpoint;
-         a larger one runs assemble_dialogues + link_extract as the build
-         does.
+         a larger one runs assemble_dialogues and then one extract + scan
+         task per assembled block (``ingest_blocks``), as the build does.
       3. canonical extend  — rebuild the canonical map over the UNION of the
          persisted distinct norms and the delta's (vocabulary-bounded, the
          same cost class as the original build's map step). Drift on old
@@ -73,7 +73,8 @@ from ..stages.canon import (
     load_canonical_map,
     save_canonical_map,
 )
-from ..stages.link import extract_table, link_extract
+from ..stages.ingest import dead_letter_rows, ingest_blocks, scan_blocks, scan_partial
+from ..stages.link import extract_table
 from ..stages.materialize import (
     _NODE_SUM,
     _TRIPLE_SUM,
@@ -99,7 +100,6 @@ from ..state.manifest import (
 from .kg import (
     ScanStats,
     scan_extracted_stats,
-    scan_partial,
     void_scan_record,
     write_ingest_state,
 )
@@ -320,6 +320,7 @@ def append_kg(
         )
         delta_t = pa.concat_tables(ray.get(list(extracted.to_arrow_refs())))
         stats = ScanStats.of([scan_partial(delta_t)])
+        dead = [ray.put(dead_letter_rows(delta_t))]
     else:
         delta = rd.read_parquet(new_transcripts)
         if skipped:
@@ -328,8 +329,15 @@ def append_kg(
                 batch_format="pyarrow", batch_size=None, zero_copy_batch=True,
             )
         assembled = asm_ckpt.run(lambda: assemble_dialogues(delta))
-        extracted = ext_ckpt.run(lambda: link_extract(assembled, ray.put(alias_table), **link_cfg))
-        stats = scan_extracted_stats(extracted)()
+        # one task per assembled block extracts it and scans the result; a
+        # resumed append whose extraction was done rescans its checkpoint
+        ingested = (
+            None if ext_ckpt.complete()
+            else ingest_blocks(assembled, ray.put(alias_table), link_cfg)
+        )
+        extracted = ext_ckpt.run(lambda: ingested.extracted)
+        scan, dead = (ingested.scan, ingested.dead) if ingested else scan_blocks(extracted)
+        stats = scan_extracted_stats(scan)()
 
     # ---- 3. canonical map extension + drift remap ----------------------------
     canon_cfg = cfg.section("canon")
@@ -391,7 +399,7 @@ def append_kg(
         nodes_ckpt.run(lambda: merge_nodes_agg(base_nodes, node_counts(extracted, new_map)))
 
     # ---- 5. state update (same shape build_kg wrote) --------------------------
-    write_ingest_state(out, f"append-{tag}", stats, extracted, union_norms)
+    write_ingest_state(out, f"append-{tag}", stats, dead, union_norms)
     save_canonical_map(out, new_map, new_cmap_fp)
     info["cmap_fp"] = new_cmap_fp
     info["edges_fp"] = edges_fp

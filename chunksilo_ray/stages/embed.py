@@ -19,6 +19,7 @@ downstream.
 from __future__ import annotations
 
 import re
+from functools import partial
 
 import numpy as np
 import pyarrow as pa
@@ -298,6 +299,30 @@ class EmbedActor:
         return t.append_column("embedding", col)
 
 
+def embeds_in_task(backend: str, mode: str = "auto") -> bool:
+    """Whether ``embed_chunks`` runs stateless tasks (else an actor pool).
+    ``auto`` picks by state cost: the bow and charngram backends' only
+    state is a word memo (rebuilds in microseconds), so they run as tasks
+    on warm workers; a real model backend (onnx) keeps the actor pool so
+    weights load once per actor, never per task-worker."""
+    if mode == "auto":
+        mode = "tasks" if backend in ("bow", "charngram") else "actors"
+    return mode == "tasks" and backend in ("bow", "charngram")
+
+
+def embed_table(t: pa.Table, backend: str = "bow", dim: int = 384) -> pa.Table:
+    """``t`` plus the ``embedding`` of its ``text`` column under a stateless
+    backend (bow or charngram; charngram's word memo lives for the
+    worker)."""
+    if backend == "bow":
+        vecs = bow_hash_embed_arrow(t.column("text"), dim)
+    else:
+        memo = _WORKER_NGRAM_MEMO.setdefault(dim, {})
+        vecs = charngram_embed_arrow(t.column("text"), dim, memo)
+    col = pa.FixedSizeListArray.from_arrays(pa.array(vecs.ravel(), pa.float32()), dim)
+    return t.append_column("embedding", col)
+
+
 def embed_chunks(
     chunks: Dataset,
     backend: str = "bow",
@@ -307,26 +332,11 @@ def embed_chunks(
     num_cpus: float = 1,
     mode: str = "auto",
 ) -> Dataset:
-    """Stage modes: ``auto`` picks by state cost — the bow backend's only
-    state is a word->bucket memo (rebuilds in microseconds), so it runs as
-    stateless tasks on warm workers; a real model backend (onnx) keeps the
-    actor pool so weights load once per actor, never per task-worker."""
-    if mode == "auto":
-        mode = "tasks" if backend in ("bow", "charngram") else "actors"
-    if mode == "tasks" and backend in ("bow", "charngram"):
-        text_column = "text"
-
-        def _task(t: pa.Table) -> pa.Table:
-            if backend == "bow":
-                vecs = bow_hash_embed_arrow(t.column(text_column), dim)
-            else:
-                memo = _WORKER_NGRAM_MEMO.setdefault(dim, {})
-                vecs = charngram_embed_arrow(t.column(text_column), dim, memo)
-            col = pa.FixedSizeListArray.from_arrays(pa.array(vecs.ravel(), pa.float32()), dim)
-            return t.append_column("embedding", col)
-
+    """Stage modes: stateless tasks or an actor pool, as ``embeds_in_task``
+    picks."""
+    if embeds_in_task(backend, mode):
         return chunks.map_batches(
-            _task,
+            partial(embed_table, backend=backend, dim=dim),
             batch_format="pyarrow",
             batch_size=batch_size,
             zero_copy_batch=True,

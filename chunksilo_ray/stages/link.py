@@ -199,59 +199,3 @@ def link_extract(
         zero_copy_batch=True,
     )
 
-
-def explode_triples(extracted: Dataset) -> Dataset:
-    """Flatten the nested triples column -> one row per (subj, pred, obj)
-    occurrence, keyed by (conv_id, turn_idx). Vectorized with Arrow list
-    flatten (no Python row loop)."""
-
-    def fn(t: pa.Table) -> pa.Table:
-        lst = t.column("triples")
-        if isinstance(lst, pa.ChunkedArray):
-            lst = lst.combine_chunks()
-        flat = lst.flatten()
-        # parent index per flattened element
-        import numpy as np
-
-        lengths = lst.value_lengths().to_numpy(zero_copy_only=False).astype("int64")
-        parents = np.repeat(np.arange(len(lengths)), lengths)
-        idx = pa.array(parents)
-        return pa.table(
-            {
-                "conv_id": t.column("conv_id").take(idx),
-                "turn_idx": t.column("turn_idx").take(idx),
-                "subj": flat.field("subj"),
-                "pred": flat.field("pred"),
-                "obj": flat.field("obj"),
-            }
-        )
-
-    return extracted.map_batches(fn, batch_format="pyarrow", batch_size=None, zero_copy_batch=True)
-
-
-def explode_mentions(extracted: Dataset) -> Dataset:
-    """Flatten the nested mentions column -> one row per mention occurrence."""
-
-    def fn(t: pa.Table) -> pa.Table:
-        lst = t.column("mentions")
-        if isinstance(lst, pa.ChunkedArray):
-            lst = lst.combine_chunks()
-        flat = lst.flatten()
-        import numpy as np
-
-        lengths = lst.value_lengths().to_numpy(zero_copy_only=False).astype("int64")
-        parents = np.repeat(np.arange(len(lengths)), lengths)
-        idx = pa.array(parents)
-        return pa.table(
-            {
-                "conv_id": t.column("conv_id").take(idx),
-                "turn_idx": t.column("turn_idx").take(idx),
-                "entity_id": flat.field("entity_id"),
-                "surface": flat.field("surface"),
-                "norm": flat.field("norm"),
-                "entity_type": flat.field("entity_type"),
-                "known": flat.field("known"),
-            }
-        )
-
-    return extracted.map_batches(fn, batch_format="pyarrow", batch_size=None, zero_copy_batch=True)

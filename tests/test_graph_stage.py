@@ -158,7 +158,7 @@ def test_resume_rebuilds_only_the_missing_graph_tables(missing, tmp_path, monkey
         raise AssertionError("the resume reran the scan or the extraction")
 
     monkeypatch.setattr(kg, "scan_extracted_stats", never)
-    monkeypatch.setattr(kg, "link_extract", never)
+    monkeypatch.setattr(kg, "ingest_blocks", never)
     res = kg.build_kg(
         str(root / "t.parquet"), str(root / "alias.parquet"), str(out), with_chunks=False
     )

@@ -171,3 +171,61 @@ def test_empty_batch():
     mentions, triples = extract_columns(t, alias, {})
     got = _with_outputs(t, mentions, triples, pa.nulls(0, pa.string()))
     assert got.equals(extract_rows(t, alias, 5.0))
+
+
+def test_packed_ngram_bound():
+    """The packed n-gram code is used exactly while the largest code,
+    ``n_vocab**k - 1``, fits int64."""
+    import numpy as np
+
+    from chunksilo_ray.extraction_core import packed_ngram_fits
+
+    assert packed_ngram_fits(2**63 - 1, 1)
+    assert packed_ngram_fits(2**63, 1)
+    assert not packed_ngram_fits(2**63 + 1, 1)
+    for n, k in ((2**21, 3), (2**9, 7)):
+        assert n**k == 2**63
+        assert packed_ngram_fits(n, k) and not packed_ngram_fits(n + 1, k)
+        # at the bound the largest code is int64's max; one past it wraps
+        top = np.full((1, k), n - 1, np.int64) @ (n ** np.arange(k, dtype=np.int64))
+        assert int(top[0]) == 2**63 - 1
+        past = np.full((1, k), n, np.int64) @ ((n + 1) ** np.arange(k, dtype=np.int64))
+        assert int(past[0]) != (n + 1) ** k - 1
+
+
+# 234**8 < 2**63 < 235**8: with max_ngram 8, a batch of 234 distinct tokens
+# packs its 8-grams and one of 235 takes the row-wise branch
+@pytest.mark.parametrize("n_vocab", [234, 235])
+def test_packed_and_row_wise_ngram_branches_agree(n_vocab, monkeypatch):
+    from chunksilo_ray import extraction_core
+
+    eight = "one two three four five six seven eight"
+    cue = "deployed and the database".split()
+    words = eight.split() + cue + [f"filler{i}" for i in range(n_vocab - 12)]
+    rng = random.Random(n_vocab)
+    texts = [" ".join(words[i : i + 12]) for i in range(0, n_vocab, 12)]
+    texts += [" ".join(rng.choice(words) for _ in range(12)) for _ in range(200)]
+    texts += [eight, f"deployed {eight} and the database", f"deployed {eight}"]
+    base = datagen.alias_table()
+    rows = list(zip(*(base.column(c).to_pylist() for c in ("alias", "entity_id", "entity_type"))))
+    alias = AliasIndex(rows + [(eight, "system:eight", "system")], max_ngram=8)
+    t = _batch(texts)
+
+    fits = extraction_core.packed_ngram_fits
+    seen = []
+
+    def spy(n, k):
+        seen.append((n, k))
+        return fits(n, k)
+
+    monkeypatch.setattr(extraction_core, "packed_ngram_fits", spy)
+    mentions, triples = extract_columns(t, alias, {})
+    assert (n_vocab, 8) in seen
+    assert fits(n_vocab, 8) == (n_vocab == 234)
+    assert "system:eight" in {m["entity_id"] for row in mentions.to_pylist() for m in row}
+
+    monkeypatch.setattr(extraction_core, "packed_ngram_fits", lambda n, k: False)
+    row_wise = extract_columns(t, alias, {})
+    assert mentions.equals(row_wise[0]) and triples.equals(row_wise[1])
+    got = _with_outputs(t, mentions, triples, pa.nulls(t.num_rows, pa.string()))
+    assert got.equals(extract_rows(t, alias, float("inf")))

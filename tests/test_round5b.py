@@ -5,6 +5,7 @@ import json
 import pathlib
 
 import pyarrow.parquet as pq
+import ray
 import pytest
 
 from chunksilo_ray.stages.canon import load_canonical_map
@@ -97,7 +98,8 @@ def test_scan_holds_no_conv_ids_on_the_driver(smoke_corpus, tmp_path):
     vocabulary: per block one dead-letter count row plus one row per
     distinct unknown norm, and no conv id, even when every row dead-letters."""
     from chunksilo_ray.config import Config
-    from chunksilo_ray.pipelines.kg import ScanStats, scan_extracted_stats, scan_partial
+    from chunksilo_ray.pipelines.kg import ScanStats, scan_extracted_stats
+    from chunksilo_ray.stages.ingest import scan_partial
     from chunksilo_ray.stages.canon import batch_distinct_unknown_norms
     from chunksilo_ray.state.manifest import StageCheckpoint
 
@@ -115,7 +117,8 @@ def test_scan_holds_no_conv_ids_on_the_driver(smoke_corpus, tmp_path):
         assert part["s"].to_pylist()[1:] == norms
         assert not set(part["s"].to_pylist()) & convs
 
-    stats = scan_extracted_stats(extracted)()
+    partials = [ray.put(scan_partial(t)) for t in ray.get(extracted.to_arrow_refs())]
+    stats = scan_extracted_stats(partials)()
     assert ScanStats.__slots__ == ("dead_total", "norms")
     assert stats.dead_total == src.num_rows
     assert not stats.norms & convs
