@@ -2,7 +2,7 @@
 ``chunksilo --build-index`` / ``chunksilo "query"``, reference
 src/chunksilo/cli.py:85-110).
 
-    python -m chunksilo_ray build  --input transcripts.parquet \
+    python -m chunksilo_ray build  --input transcripts.parquet [more shards] \
         --alias alias_index.parquet --out /tmp/kg_out [--config cfg.yaml]
     python -m chunksilo_ray search --out /tmp/kg_out "query text" \
         [--date-from YYYY-MM-DD] [--date-to YYYY-MM-DD]
@@ -51,24 +51,25 @@ def _ray_session() -> _RaySession:
 def cmd_build(args) -> int:
     from .config import Config
 
-    if not getattr(args, "append", False) and not args.alias:
+    if not args.append and not args.alias:
         print("error: --alias is required unless --append", file=sys.stderr)
         return 2
+    if args.append and len(args.input) > 1:
+        print("error: --append takes one --input (a file or directory)", file=sys.stderr)
+        return 2
+    # several inputs are the shards of one build
+    inputs = args.input[0] if len(args.input) == 1 else args.input
     cfg = Config.from_yaml(args.config) if args.config else None
     ray = _ray_session()
     try:
-        if getattr(args, "append", False):
+        if args.append:
             from .pipelines.kg_append import append_kg
 
-            res = append_kg(args.out, args.input, alias_path=args.alias, cfg=cfg)
-        elif args.sharded:
-            from .pipelines.kg_sharded import build_kg_sharded
-
-            res = build_kg_sharded(args.input, args.alias, args.out, cfg=cfg)
+            res = append_kg(args.out, inputs, alias_path=args.alias, cfg=cfg)
         else:
             from .pipelines.kg import build_kg
 
-            res = build_kg(args.input, args.alias, args.out, cfg=cfg, with_chunks=True)
+            res = build_kg(inputs, args.alias, args.out, cfg=cfg, with_chunks=True)
         print(json.dumps(res["metrics"]))
     finally:
         ray.shutdown()
@@ -171,7 +172,14 @@ def main(argv: list[str] | None = None) -> int:
     sub = p.add_subparsers(dest="cmd", required=True)
 
     b = sub.add_parser("build", help="run the KG-construction pipeline")
-    b.add_argument("--input", required=True, help="transcripts parquet file/dir")
+    b.add_argument(
+        "--input",
+        required=True,
+        nargs="+",
+        help="transcripts parquet file/dir; several paths are the shards of "
+        "one build (each holds whole conversations, and keeps its own "
+        "checkpoints under --out/shards/<file stem>)",
+    )
     b.add_argument(
         "--alias",
         default=None,
@@ -188,13 +196,6 @@ def main(argv: list[str] | None = None) -> int:
     )
     b.add_argument("--out", required=True, help="output/checkpoint directory")
     b.add_argument("--config", default=None, help="YAML config (deep-merged over defaults)")
-    b.add_argument(
-        "--sharded",
-        action="store_true",
-        help="partition-level mode: --input is a directory of shards; "
-        "per-shard checkpoints + global canonicalization (resumes/ingests "
-        "at shard granularity)",
-    )
     b.set_defaults(fn=cmd_build)
 
     s = sub.add_parser("search", help="search the built chunks table")

@@ -8,7 +8,7 @@ deleted, re-embed only the changed files) at CONVERSATION granularity:
       1. membership check  — the new input's conv_ids (a column read of its
          files on the driver) are a small set; the ingested ones are the
          conv_id column of the extracted checkpoints build_info.json lists
-         (the build's out/extracted/ and each recorded append's). One task
+         (the build's, one per shard, and each recorded append's). One task
          per checkpoint filters its part files against the delta set, so
          already-ingested conversations are skipped WITHOUT the ingested
          set ever being collected whole (scale direction: small side
@@ -36,11 +36,15 @@ deleted, re-embed only the changed files) at CONVERSATION granularity:
          base parts kept (remapped on drift) + delta parts; edges_agg:
          merge_edges_agg; nodes: merge_nodes_agg of the delta's per-batch
          counts — each one keyed-sum exchange (``materialize._keyed_sum``).
-      5. state update      — the delta's dead letters and the norm union, the
-         new canonical map, then build_info.json, whose new ``appends``
-         entry adds the delta's extracted checkpoint to the ingested set.
-         Until that last write, a rerun does not count the delta as
-         ingested.
+      5. state update      — the delta's dead letters; the norm union and
+         the new canonical map, staged under out/state/next; then
+         build_info.json, whose new ``appends`` entry adds the delta's
+         extracted checkpoint to the ingested set and whose ``cmap_fp``
+         names the staged map. That write commits the append: until it, a
+         rerun does not count the delta as ingested and reads the base's
+         map and norms, still in place; after it, the staged files move in
+         (``_move_in_state``, which the next append also runs, so a kill
+         between the two loses nothing).
 
 Invariant (gated in tests/test_round5c.py): append(A, B) produces byte-equal
 edges_agg / nodes / edges tables to a one-shot rebuild over A + B, because
@@ -53,6 +57,7 @@ from __future__ import annotations
 import json
 import os
 import pathlib
+import shutil
 from functools import partial
 
 import numpy as np
@@ -98,9 +103,12 @@ from ..state.manifest import (
     input_fingerprint,
 )
 from .kg import (
+    NORMS_FILE,
     ScanStats,
+    build_roots,
     scan_extracted_stats,
     void_scan_record,
+    write_build_info,
     write_ingest_state,
 )
 
@@ -135,13 +143,14 @@ def _conv_hits(paths: list[str], convs: pa.Array) -> list[str]:
 def _ingested(out: pathlib.Path, info: dict, convs: set) -> set:
     """Membership check: which of ``convs`` (the delta's conv ids, a day's
     batch — small) are already ingested, i.e. in the ``conv_id`` column of
-    the build's extracted checkpoint or of an append's that ``info``
-    (build_info.json) records. One task per checkpoint filters its part
-    files against the broadcast delta set, so nothing corpus-sized ever
-    lands on the driver."""
+    one of the build's extracted checkpoints or of an append's that
+    ``info`` (build_info.json) records. One task per checkpoint filters its
+    part files against the broadcast delta set, so nothing corpus-sized
+    ever lands on the driver."""
     want = ray.put(pa.array(sorted(convs), pa.string()))
     tasks = []
-    for root in [out] + [out / "append" / a["batch_fp"] for a in info["appends"]]:
+    roots = [out / r for r in build_roots(info)]
+    for root in roots + [out / "append" / a["batch_fp"] for a in info["appends"]]:
         ckpt = StageCheckpoint(str(root), "extracted", "")
         m = ckpt.manifest()
         if m is None:
@@ -246,6 +255,22 @@ def _fold_small(tables: list) -> None:
         ckpt.commit(staged, records(), base.get("metrics"))
 
 
+def _move_in_state(out: pathlib.Path, cmap_fp: str) -> None:
+    """Move the canonical map and norms an append staged under
+    out/state/next into place, once build_info.json names the staged map
+    (its fingerprint is ``cmap_fp``). Files staged by an append that never
+    committed are left to be overwritten. The map moves last: it marks the
+    staged state as not yet moved in."""
+    staged = out / "state" / "next"
+    cmap = load_canonical_map(staged, cmap_fp)
+    if cmap is None:
+        return
+    if (staged / NORMS_FILE).exists():
+        os.replace(staged / NORMS_FILE, out / "state" / NORMS_FILE)
+    save_canonical_map(out, cmap, cmap_fp)
+    shutil.rmtree(staged)
+
+
 def append_kg(
     out_dir: str,
     new_transcripts: str,
@@ -262,6 +287,7 @@ def append_kg(
     if not info_path.exists():
         raise FileNotFoundError(f"{info_path} missing — run build_kg first")
     info = json.loads(info_path.read_text())
+    _move_in_state(out, info["cmap_fp"])
     # the delta must be extracted and canonicalized with the base's settings,
     # or the folded graph equals neither rebuild
     for name in ("linking", "canon"):
@@ -347,9 +373,7 @@ def append_kg(
             f"no canonical map for fingerprint {info['cmap_fp']} under {out} — "
             "the build state is inconsistent; rebuild"
         )
-    old_norms = set(
-        pq.read_table(state / "distinct_norms.parquet")["norm"].to_pylist()
-    )
+    old_norms = set(pq.read_table(state / NORMS_FILE)["norm"].to_pylist())
     union_norms = old_norms | stats.norms
     new_map = build_canonical_map(extracted, norms=union_norms, **canon_cfg)
     remap = canonical_remap(old_map, new_map, old_norms)
@@ -399,8 +423,10 @@ def append_kg(
         nodes_ckpt.run(lambda: merge_nodes_agg(base_nodes, node_counts(extracted, new_map)))
 
     # ---- 5. state update (same shape build_kg wrote) --------------------------
-    write_ingest_state(out, f"append-{tag}", stats, dead, union_norms)
-    save_canonical_map(out, new_map, new_cmap_fp)
+    # staged until build_info.json commits it: a kill before that leaves the
+    # base's map and norms in place for the rerun
+    write_ingest_state(out, f"append-{tag}", stats, dead, union_norms, state / "next")
+    save_canonical_map(state / "next", new_map, new_cmap_fp)
     info["cmap_fp"] = new_cmap_fp
     info["edges_fp"] = edges_fp
     info["edges_agg_fp"] = agg_fp
@@ -415,7 +441,8 @@ def append_kg(
             "path": path,
         }
     )
-    info_path.write_text(json.dumps(info, indent=1))
+    write_build_info(out, info)
+    _move_in_state(out, new_cmap_fp)
 
     metrics = {
         "new_convs": len(new_convs),

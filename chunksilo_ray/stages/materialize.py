@@ -22,7 +22,9 @@ Scale design:
   then a per-part final sum, so the exchange moves one row per distinct key
   per block.
 - The build takes all three from ``materialize_graph``: ONE two-round Ray
-  task graph over the pinned extracted blocks. A map task per block runs
+  task graph over the pinned extracted blocks (of every shard, when the
+  build's input is a list of shards: the graph takes a list of block refs,
+  so the shards need no ``Dataset.union``). A map task per block runs
   the explode once and returns the block's per-turn edges plus its triple
   and mention partials, each split by part; a reduce task per (part, kind)
   finishes the sum. No Ray Data execution and no sort: per-task memory is

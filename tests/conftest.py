@@ -46,14 +46,15 @@ def tmp_out(tmp_path):
 def ingested_convs():
     """Reads a built KG directory's ingested conv ids: the ``conv_id``
     column of the extracted checkpoints its state/build_info.json lists
-    (the build's, plus one per recorded append)."""
+    (the build's, one per shard, plus one per recorded append)."""
     import pyarrow.parquet as pq
 
     def read(out_dir) -> set:
         out = pathlib.Path(out_dir)
         info = json.loads((out / "state" / "build_info.json").read_text())
         convs = set()
-        for root in [out] + [out / "append" / a["batch_fp"] for a in info["appends"]]:
+        roots = [out / r for r in info["extracted"]]
+        for root in roots + [out / "append" / a["batch_fp"] for a in info["appends"]]:
             ext = root / "extracted"
             for part in json.loads((ext / "_MANIFEST.json").read_text())["parts"]:
                 t = pq.read_table(ext / part["file"], columns=["conv_id"])
@@ -61,3 +62,20 @@ def ingested_convs():
         return convs
 
     return read
+
+
+@pytest.fixture()
+def executions(monkeypatch):
+    """Counts the Ray Data executions started, as the benchmark's tracer
+    does."""
+    from ray.data._internal.execution.streaming_executor import StreamingExecutor
+
+    runs = []
+    execute = StreamingExecutor.execute
+
+    def counted(self, *args, **kwargs):
+        runs.append(1)
+        return execute(self, *args, **kwargs)
+
+    monkeypatch.setattr(StreamingExecutor, "execute", counted)
+    return runs

@@ -39,3 +39,37 @@ def test_config_yaml_roundtrip(tmp_path):
     assert cfg.get("chunking.chunk_overlap") == 50  # defaults survive merge
     assert cfg.get("search.rerank_top_k") == 3
     assert cfg.get("nope.missing", "dflt") == "dflt"
+
+
+def test_build_append_takes_one_input(capsys):
+    assert main(["build", "--append", "--input", "a.parquet", "b.parquet", "--out", "o"]) == 2
+    assert "--append takes one --input" in capsys.readouterr().err
+
+
+def test_build_of_three_shards(ray_session, smoke_corpus, tmp_path, capsys):
+    """Several --input paths are the shards of one build: each keeps its own
+    checkpoints under --out/shards/<stem>."""
+    import pathlib
+    import zlib
+
+    import pyarrow as pa
+    import pyarrow.parquet as pq
+
+    t = pq.read_table(f"{smoke_corpus}/transcripts.parquet")
+    assign = [zlib.crc32(c.encode()) % 3 for c in t["conv_id"].to_pylist()]
+    shards = []
+    for s in range(3):
+        path = tmp_path / f"part-{s}.parquet"
+        pq.write_table(t.filter(pa.array([a == s for a in assign])), path)
+        shards.append(str(path))
+    out = tmp_path / "out"
+    rc = main(["build", "--input", *shards, "--alias", f"{smoke_corpus}/alias_index.parquet",
+               "--out", str(out)])
+    assert rc == 0
+    metrics = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
+    assert metrics["shards"] == 3
+    assert metrics["turns"] == t.num_rows
+    assert sorted(p.parent.name for p in out.glob("shards/*/extracted")) == [
+        pathlib.Path(s).stem for s in shards
+    ]
+    assert (out / "chunks" / "_MANIFEST.json").exists()

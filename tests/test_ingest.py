@@ -43,23 +43,6 @@ def _build(inputs, out, cfg=None):
     )
 
 
-@pytest.fixture()
-def executions(monkeypatch):
-    """Counts the Ray Data executions started, as the benchmark's tracer
-    does."""
-    from ray.data._internal.execution.streaming_executor import StreamingExecutor
-
-    runs = []
-    execute = StreamingExecutor.execute
-
-    def counted(self, *args, **kwargs):
-        runs.append(1)
-        return execute(self, *args, **kwargs)
-
-    monkeypatch.setattr(StreamingExecutor, "execute", counted)
-    return runs
-
-
 @pytest.fixture(scope="module")
 def cold(inputs, tmp_path_factory):
     out = tmp_path_factory.mktemp("ingest_cold") / "out"

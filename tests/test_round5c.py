@@ -13,6 +13,7 @@ import shutil
 import pyarrow as pa
 import pyarrow.parquet as pq
 import pytest
+import ray.data as rd
 
 pytestmark = pytest.mark.usefixtures("ray_session")
 
@@ -499,6 +500,53 @@ def test_small_append_killed_during_the_merge_resumes(
     assert res["metrics"]["path"] == "small"
     assert not list(out.glob("*.tmp"))
     _assert_equals_rebuild(res, rebuild[1])
+
+
+@pytest.mark.parametrize("kill", ["write_ingest_state", "save_canonical_map", "_move_in_state"])
+def test_append_killed_after_a_state_write_resumes(
+    split_corpus, rebuild, tmp_path, monkeypatch, kill
+):
+    """Kill the append right after it writes the norm union, the new
+    canonical map, or build_info.json (before the staged state moves in).
+    The base's map and norms stay readable until build_info.json names the
+    new map, so the rerun equals the rebuild, a third run is a no-op, and
+    the map and norms end up the rebuild's."""
+    from chunksilo_ray.pipelines import kg_append
+    from chunksilo_ray.stages.canon import load_canonical_map
+
+    day2 = str(split_corpus / "day2.parquet")
+    out = tmp_path / "kg"
+    _build_day1(split_corpus, out)
+    write = getattr(kg_append, kill)
+
+    def write_then_die(*args, **kwargs):
+        if kill != "_move_in_state":
+            write(*args, **kwargs)
+            raise KeyboardInterrupt
+        if (out / "state" / "next").exists():  # not the check at the append's start
+            raise KeyboardInterrupt
+        write(*args, **kwargs)
+
+    base = ("state/distinct_norms.parquet", "canonical_map.parquet", "state/build_info.json")
+    before = {f: (out / f).read_bytes() for f in base}
+    monkeypatch.setattr(kg_append, kill, write_then_die)
+    with pytest.raises(KeyboardInterrupt):
+        kg_append.append_kg(str(out), day2)
+    monkeypatch.undo()
+    if kill != "_move_in_state":  # not committed: the base's state is untouched
+        assert {f: (out / f).read_bytes() for f in base} == before
+
+    res = kg_append.append_kg(str(out), day2)
+    if kill == "_move_in_state":  # committed: the rerun only moves the state in
+        assert res["metrics"]["noop"] is True
+        res = {name: rd.read_parquet(str(out / name)) for name in ("edges", "edges_agg", "nodes")}
+    _assert_equals_rebuild(res, rebuild[1])
+    assert kg_append.append_kg(str(out), day2)["metrics"]["noop"] is True
+    full = pathlib.Path(rebuild[0])
+    info, full_info = (json.loads((d / "state" / "build_info.json").read_text()) for d in (out, full))
+    assert load_canonical_map(out, info["cmap_fp"]) == load_canonical_map(full, full_info["cmap_fp"])
+    assert _rows(out / "state/distinct_norms.parquet") == _rows(full / "state/distinct_norms.parquet")
+    assert not (out / "state" / "next").exists()
 
 
 def test_successive_small_appends_keep_the_aggregate_part_count(split_corpus, tmp_path):
