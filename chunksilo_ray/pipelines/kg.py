@@ -65,7 +65,7 @@ from ..stages.canon import (
     save_canonical_map,
 )
 from ..stages.ingest import ingest_blocks, scan_blocks
-from ..stages.materialize import materialize_graph
+from ..stages.materialize import graph_parts, materialize_graph
 from ..state.manifest import (
     StageCheckpoint,
     _write_blocks,
@@ -198,7 +198,7 @@ def _shards(transcripts_path: str | list[str]) -> list[tuple[str, str]]:
     return [(f"shards/{stem}", paths[stem]) for stem in sorted(paths)]
 
 
-def _concat(parts: list[Dataset]) -> Dataset:
+def concat_blocks(parts: list[Dataset]) -> Dataset:
     """The blocks of ``parts``, in order, as one materialized dataset: no
     ``Dataset.union`` and, for materialized parts, no execution
     (``materialize()`` binds the refs as the dataset's blocks)."""
@@ -349,11 +349,11 @@ def build_kg(
                 scan, shard_dead = (ingest().scan, ingest().dead) if extract else scan_blocks(ext)
                 shard_stats.append(scan_extracted_stats(scan)())
                 dead += shard_dead
-        extracted = _concat(extracted) if ext_open else None
+        extracted = concat_blocks(extracted) if ext_open else None
         chunks = None
         if chunks_ckpt is not None:
             chunks = chunks_ckpt.run(
-                lambda: _concat([ingest().chunks for ingest in ingests]), write_executor=writer
+                lambda: concat_blocks([ingest().chunks for ingest in ingests]), write_executor=writer
             )
             _mark("chunks built")
 
@@ -375,10 +375,13 @@ def build_kg(
         # one task graph over every shard's blocks yields all three tables;
         # it runs at the first of the three checkpoints that is not complete,
         # and each table keeps its own checkpoint, so a resume rebuilds only
-        # the missing ones
+        # the missing ones. Under the broadcast budget edges_agg and nodes
+        # record their part count: an append folds into parts laid out by it
         graph = functools.cache(lambda: materialize_graph(extracted, cmap))
+        parts = graph_parts(extracted, cmap) if ext_open else None
+        record = {"parts": parts} if parts else None
         edges, edges_agg, nodes = (
-            ck.run(lambda i=i: graph()[i], write_executor=writer)
+            ck.run(lambda i=i: graph()[i], metrics=record if i else None, write_executor=writer)
             for i, ck in enumerate(graph_ckpts)
         )
         _mark("graph built")

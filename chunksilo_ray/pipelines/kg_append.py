@@ -16,26 +16,24 @@ deleted, re-embed only the changed files) at CONVERSATION granularity:
       2. delta extract     — over the new conversations only, checkpointed
          under out/append/<batch_fp>/ so a killed append resumes. A small
          delta (at most SMALL_DELTA_ROWS input rows, read from the Parquet
-         footers) is read and assembled by ONE task and extracted by a
-         second, with the build's kernels, each under its stage checkpoint;
-         a larger one runs assemble_dialogues and then one extract + scan
-         task per assembled block (``ingest_blocks``), as the build does.
+         footers) is read and assembled by ONE task, a larger one by
+         assemble_dialogues; either way one extract + scan task per
+         assembled block follows (``ingest_blocks``), as in the build.
       3. canonical extend  — rebuild the canonical map over the UNION of the
          persisted distinct norms and the delta's (vocabulary-bounded, the
          same cost class as the original build's map step). Drift on old
-         norms is monotone (union-find only merges), expressed as a tiny
-         {old_canonical -> new_canonical} remap applied to the base tables;
-         a non-merge drift (LSH cap artifact) fails loud (CanonicalDriftError).
-      4. fold              — small delta, no drift: the delta's edges, sums
-         and counts are computed in process; its per-turn edges become
-         extra edges parts, and its per-key sums fold into edges_agg /
-         nodes WITHOUT an exchange (each holds every key once: one task per
-         base part adds the matching sums, the smallest part also takes
-         the new keys, so the part count stays the base's, and the new
-         version is swapped in whole). Otherwise: edges
-         base parts kept (remapped on drift) + delta parts; edges_agg:
-         merge_edges_agg; nodes: merge_nodes_agg of the delta's per-batch
-         counts — each one keyed-sum exchange (``materialize._keyed_sum``).
+         norms is monotone (union-find only merges); a non-merge drift (LSH
+         cap artifact) fails loud (CanonicalDriftError).
+      4. graph             — the build's ``materialize_graph``. Without
+         drift, with the new map within the broadcast budget and the base's
+         edges_agg / nodes manifests recording their part count P, it
+         folds: the graph runs over the delta's blocks only, reduce task p
+         also sums base part p (which holds the keys hashing to p), and the
+         result is the new version of each table, still in P hash-aligned
+         parts; the delta's per-turn edges become extra edges parts.
+         Otherwise it re-runs the whole graph, under the new map, over
+         every extracted checkpoint build_info.json lists plus the
+         delta's, into fresh edges / edges_agg / nodes checkpoints.
       5. state update      — the delta's dead letters; the norm union and
          the new canonical map, staged under out/state/next; then
          build_info.json, whose new ``appends`` entry adds the delta's
@@ -54,13 +52,14 @@ all aggregates are additive.
 
 from __future__ import annotations
 
+import functools
 import json
 import os
 import pathlib
 import shutil
+from concurrent.futures import ThreadPoolExecutor
 from functools import partial
 
-import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
 import pyarrow.dataset as pads
@@ -74,38 +73,21 @@ from ..stages.canon import (
     CanonicalDriftError,
     build_canonical_map,
     canonical_remap,
-    canonicalize_id,
     load_canonical_map,
     save_canonical_map,
 )
-from ..stages.ingest import dead_letter_rows, ingest_blocks, scan_blocks, scan_partial
-from ..stages.link import extract_table
-from ..stages.materialize import (
-    _NODE_SUM,
-    _TRIPLE_SUM,
-    fold_keyed_sum,
-    materialize_edges,
-    mention_counts,
-    merge_edges_agg,
-    merge_nodes_agg,
-    node_counts,
-    node_rows,
-    reaggregate_turn_edges,
-    remap_canonical_ids,
-    sum_by_key,
-    turn_edges,
-)
+from ..stages.ingest import ingest_blocks, scan_blocks
+from ..stages.materialize import graph_parts, materialize_graph
 from ..state.manifest import (
     StageCheckpoint,
-    _write_blocks,
     code_fingerprint,
     fingerprint,
     input_fingerprint,
 )
 from .kg import (
     NORMS_FILE,
-    ScanStats,
     build_roots,
+    concat_blocks,
     scan_extracted_stats,
     void_scan_record,
     write_build_info,
@@ -114,14 +96,15 @@ from .kg import (
 
 __all__ = ["append_kg", "CanonicalDriftError"]
 
-# Appends of at most this many input rows (Parquet footer counts) assemble
-# and extract the delta in one task each and fold it into edges_agg / nodes
-# without an exchange. Measured on a 50k-turn base with 2 and 4 Ray CPUs,
-# the small path is faster at every size up to 120k rows, and at 80k rows
-# with 4 CPUs the best runs of the two paths tie; the budget stays a 4x
-# margin below that tie because the exchange path's extraction divides by
-# the CPU count. Hosts with more CPUs are unmeasured (DESIGN.md
-# "Small-delta append").
+# Appends of at most this many input rows (Parquet footer counts) are read
+# and assembled by one task instead of by assemble_dialogues; the rest of
+# the append is the same for both. On a 50k-turn base with 2 Ray CPUs (best
+# of 3 appends), the one task is faster at 5k and 20k rows (0.19 vs 0.29 s,
+# 0.34 vs 0.43 s), about even at 40k (0.51 vs 0.53 s) and slower at 80k
+# (0.97 vs 0.90 s), so the crossover lies near 40k rows there.
+# assemble_dialogues divides its work by the CPU count and the one task does
+# not, so the crossover falls as CPUs are added; hosts with more CPUs are
+# unmeasured (DESIGN.md "Small-delta append").
 SMALL_DELTA_ROWS = 20_000
 
 
@@ -140,17 +123,23 @@ def _conv_hits(paths: list[str], convs: pa.Array) -> list[str]:
     return hits
 
 
+def _extracted_roots(out: pathlib.Path, info: dict) -> list[pathlib.Path]:
+    """The directories of the extracted checkpoints that ``info``
+    (build_info.json) lists: the build's, one per shard, and each recorded
+    append's."""
+    appends = [out / "append" / a["batch_fp"] for a in info["appends"]]
+    return [out / r for r in build_roots(info)] + appends
+
+
 def _ingested(out: pathlib.Path, info: dict, convs: set) -> set:
     """Membership check: which of ``convs`` (the delta's conv ids, a day's
     batch — small) are already ingested, i.e. in the ``conv_id`` column of
-    one of the build's extracted checkpoints or of an append's that
-    ``info`` (build_info.json) records. One task per checkpoint filters its
-    part files against the broadcast delta set, so nothing corpus-sized
-    ever lands on the driver."""
+    one of the extracted checkpoints ``info`` lists. One task per
+    checkpoint filters its part files against the broadcast delta set, so
+    nothing corpus-sized ever lands on the driver."""
     want = ray.put(pa.array(sorted(convs), pa.string()))
     tasks = []
-    roots = [out / r for r in build_roots(info)]
-    for root in roots + [out / "append" / a["batch_fp"] for a in info["appends"]]:
+    for root in _extracted_roots(out, info):
         ckpt = StageCheckpoint(str(root), "extracted", "")
         m = ckpt.manifest()
         if m is None:
@@ -172,87 +161,6 @@ def _assemble_delta(files: list[str], skipped: pa.Array) -> pa.Table:
     skipped conversations, assemble in process (one conv-hash part, one
     block)."""
     return assemble_table(_keep_convs(pa.concat_tables([pq.read_table(f) for f in files]), skipped))
-
-
-@ray.remote
-def _extract_delta(
-    alias: list, max_ngram: int, per_row_seconds: float, *assembled: pa.Table
-) -> pa.Table:
-    """A small append's extraction in one task. ``alias`` holds the alias
-    table's ref (inside a list, so Ray passes the ref itself and the
-    worker's alias-index memo keys on it)."""
-    return extract_table(pa.concat_tables(assembled), alias[0], max_ngram, per_row_seconds)
-
-
-@ray.remote(num_returns=2)
-def _fold_part(
-    src: str, dst: str, delta: pa.Table, schema: pa.Schema, new_keys: bool, *elsewhere
-):
-    """Fold ``delta`` into the base part ``src`` and write the merged part to
-    ``dst``. Returns (rows, bytes) and the mask of the ``delta`` rows this
-    part holds. With ``new_keys``, the part also takes the delta rows that
-    neither it nor any other part holds (``elsewhere``: the other parts'
-    masks)."""
-    merged, matched = fold_keyed_sum(pq.read_table(src), delta, schema)
-    if new_keys:
-        held = np.logical_or.reduce([matched, *elsewhere])
-        new = delta.filter(pa.array(~held)).select(merged.column_names).cast(merged.schema)
-        merged = pa.concat_tables([merged, new])
-    pq.write_table(merged, dst)
-    return (merged.num_rows, os.stat(dst).st_size), matched
-
-
-def _start_fold(src: pathlib.Path, staged: pathlib.Path, parts: list, delta, schema):
-    """Submit the fold of ``delta`` into the base parts ``parts`` (manifest
-    records of files in ``src``), writing the merged parts to ``staged``:
-    one task per part, the smallest part's task also taking the new keys.
-    Returns a zero-arg callable that waits for the tasks and returns the
-    merged parts' records."""
-    if not parts:  # an empty base: the delta's rows are the table
-        written = _write_blocks(rd.from_arrow(delta), staged, "part-")
-        return lambda: written
-    delta_ref = ray.put(delta)
-    smallest = min(range(len(parts)), key=lambda i: parts[i]["rows"])
-
-    def fold(i: int, *elsewhere):
-        f = parts[i]["file"]
-        return _fold_part.remote(
-            str(src / f), str(staged / f), delta_ref, schema, i == smallest, *elsewhere
-        )
-
-    folds = {i: fold(i) for i in range(len(parts)) if i != smallest}
-    folds[smallest] = fold(smallest, *[matched for _, matched in folds.values()])
-
-    def records() -> list[dict]:
-        stats = ray.get([folds[i][0] for i in range(len(parts))])
-        return [
-            {"file": p["file"], "rows": rows, "bytes": nbytes}
-            for p, (rows, nbytes) in zip(parts, stats)
-        ]
-
-    return records
-
-
-def _fold_small(tables: list) -> None:
-    """Exchange-free merge of small keyed deltas into keyed-sum checkpoints.
-    ``tables`` holds (checkpoint, delta, schema) triples; each checkpoint
-    holds every key once. One task per base part adds the matching delta
-    rows and writes the merged part next to the table; the task of the
-    smallest part waits for the others' matches and also appends the delta
-    rows no part holds (new keys), so the part count never grows. Every
-    table's tasks are submitted before any is awaited, so the tables fold
-    side by side; each table's new version is then swapped in whole
-    (``StageCheckpoint.commit``), in the order given. A checkpoint already
-    at its fingerprint holds its delta: it is skipped."""
-    started = []
-    for ckpt, delta, schema in tables:
-        if ckpt.complete():
-            continue
-        base, staged = ckpt.manifest(), ckpt.staging_dir()
-        records = _start_fold(ckpt.dir, staged, base["parts"], delta, schema)
-        started.append((ckpt, base, staged, records))
-    for ckpt, base, staged, records in started:
-        ckpt.commit(staged, records(), base.get("metrics"))
 
 
 def _move_in_state(out: pathlib.Path, cmap_fp: str) -> None:
@@ -332,95 +240,98 @@ def append_kg(
     link_cfg = cfg.section("linking")
     asm_ckpt = StageCheckpoint(batch_root, "assembled", fingerprint(batch_fp, "assemble"))
     ext_ckpt = StageCheckpoint(batch_root, "extracted", fingerprint(batch_fp, "extract"))
-    alias_table = pq.read_table(alias_path)
-    if small:
-        # one task per stage, no exchange: the delta fits one process
-        assembled = asm_ckpt.run(
-            lambda: rd.from_arrow_refs([_assemble_delta.remote(files, skipped_arr)])
-        )
-        extracted = ext_ckpt.run(
-            lambda: rd.from_arrow_refs([_extract_delta.remote(
-                [ray.put(alias_table)], link_cfg["max_ngram"], link_cfg["per_row_seconds"],
-                *assembled.to_arrow_refs(),
-            )])
-        )
-        delta_t = pa.concat_tables(ray.get(list(extracted.to_arrow_refs())))
-        stats = ScanStats.of([scan_partial(delta_t)])
-        dead = [ray.put(dead_letter_rows(delta_t))]
-    else:
+
+    def assemble():
+        if small:  # one task, no exchange: the delta fits one process
+            return rd.from_arrow_refs([_assemble_delta.remote(files, skipped_arr)])
         delta = rd.read_parquet(new_transcripts)
         if skipped:
             delta = delta.map_batches(
                 partial(_keep_convs, skipped=skipped_arr),
                 batch_format="pyarrow", batch_size=None, zero_copy_batch=True,
             )
-        assembled = asm_ckpt.run(lambda: assemble_dialogues(delta))
-        # one task per assembled block extracts it and scans the result; a
-        # resumed append whose extraction was done rescans its checkpoint
+        return assemble_dialogues(delta)
+
+    # checkpoint writes run on a background pool, off the critical path, as
+    # in build_kg; every one has landed before the state update commits the
+    # append
+    with ThreadPoolExecutor(max_workers=2) as writer:
+        assembled = asm_ckpt.run(assemble, write_executor=writer)
+        # one task per assembled block extracts it and scans the result
         ingested = (
             None if ext_ckpt.complete()
-            else ingest_blocks(assembled, ray.put(alias_table), link_cfg)
+            else ingest_blocks(assembled, ray.put(pq.read_table(alias_path)), link_cfg)
         )
-        extracted = ext_ckpt.run(lambda: ingested.extracted)
-        scan, dead = (ingested.scan, ingested.dead) if ingested else scan_blocks(extracted)
+        extracted = ext_ckpt.run(lambda: ingested.extracted, write_executor=writer)
+        if ingested is None:
+            # a resumed append whose extraction was done: its checkpoint is
+            # read back, pinned once (the scan and the graph both read it)
+            # and rescanned
+            extracted = extracted.materialize()
+            scan, dead = scan_blocks(extracted)
+        else:
+            scan, dead = ingested.scan, ingested.dead
         stats = scan_extracted_stats(scan)()
 
-    # ---- 3. canonical map extension + drift remap ----------------------------
-    canon_cfg = cfg.section("canon")
-    old_map = load_canonical_map(out, info["cmap_fp"])
-    if old_map is None:
-        raise FileNotFoundError(
-            f"no canonical map for fingerprint {info['cmap_fp']} under {out} — "
-            "the build state is inconsistent; rebuild"
-        )
-    old_norms = set(pq.read_table(state / NORMS_FILE)["norm"].to_pylist())
-    union_norms = old_norms | stats.norms
-    new_map = build_canonical_map(extracted, norms=union_norms, **canon_cfg)
-    remap = canonical_remap(old_map, new_map, old_norms)
+        # ---- 3. canonical map extension + drift check ------------------------
+        canon_cfg = cfg.section("canon")
+        old_map = load_canonical_map(out, info["cmap_fp"])
+        if old_map is None:
+            raise FileNotFoundError(
+                f"no canonical map for fingerprint {info['cmap_fp']} under {out} — "
+                "the build state is inconsistent; rebuild"
+            )
+        old_norms = set(pq.read_table(state / NORMS_FILE)["norm"].to_pylist())
+        union_norms = old_norms | stats.norms
+        new_map = build_canonical_map(extracted, norms=union_norms, **canon_cfg)
+        remap = canonical_remap(old_map, new_map, old_norms)
 
-    # ---- 4. fold -------------------------------------------------------------
-    # from here on the graph and the ingest state no longer match what
-    # build_kg's scan record describes: a rerun of the build must rescan
-    void_scan_record(out)
-    new_cmap_fp = fingerprint(info["cmap_fp"], batch_fp, sorted(canon_cfg.items()))
-    tag = batch_fp[:8]
-    edges_fp = fingerprint(info["edges_fp"], batch_fp, "edges+append")
-    edges_ckpt = StageCheckpoint(str(out), "edges", edges_fp)
-    agg_fp = fingerprint(info["edges_agg_fp"], batch_fp, "edges_agg+append")
-    edges_agg_ckpt = StageCheckpoint(str(out), "edges_agg", agg_fp)
-    nodes_fp = fingerprint(info["nodes_fp"], batch_fp, "nodes+append")
-    nodes_ckpt = StageCheckpoint(str(out), "nodes", nodes_fp)
-    path = "small" if small and not remap else "exchange"
-    if path == "small":
-        # the delta's rows and aggregates are computed in process; each base
-        # aggregate already holds every key once, so the delta's per-key
-        # sums fold into its parts where they lie
-        canon = partial(canonicalize_id, cmap=new_map)
-        delta_edges = turn_edges(delta_t, canon)
-        edges_ckpt.append_parts(rd.from_arrow(delta_edges), tag, edges_fp)
-        node_sums = sum_by_key(mention_counts(delta_t, canon), _NODE_SUM)
-        _fold_small([
-            (edges_agg_ckpt, sum_by_key(delta_edges, _TRIPLE_SUM), _TRIPLE_SUM),
-            (nodes_ckpt, node_rows(node_sums), _NODE_SUM),
-        ])
-    else:
-        # consumed twice (edge fold + agg merge): pin once
-        delta_edges = materialize_edges(extracted, new_map).materialize()
-        base_agg = rd.read_parquet(str(out / "edges_agg"))
-        base_nodes = rd.read_parquet(str(out / "nodes"))
-        if remap:
-            # drift: the base tables reference merged-away canonicals —
-            # rewrite them (tiny broadcast, dictionary-encoded) and restore
-            # per-turn key uniqueness, then write a fresh checkpoint from
-            # base' + delta
-            base_edges = remap_canonical_ids(edges_ckpt.read(), remap, ["subj", "obj"])
-            edges_ckpt.run(lambda: reaggregate_turn_edges(base_edges.union(delta_edges)))
-            base_agg = remap_canonical_ids(base_agg, remap, ["subj", "obj"])
-            base_nodes = remap_canonical_ids(base_nodes, remap, ["entity_id", "canonical"])
+        # ---- 4. graph: fold into the base's parts, or re-run it --------------
+        # from here on the graph and the ingest state no longer match what
+        # build_kg's scan record describes: a rerun of the build must rescan
+        void_scan_record(out)
+        new_cmap_fp = fingerprint(info["cmap_fp"], batch_fp, sorted(canon_cfg.items()))
+        tag = batch_fp[:8]
+        edges_fp = fingerprint(info["edges_fp"], batch_fp, "edges+append")
+        edges_ckpt = StageCheckpoint(str(out), "edges", edges_fp)
+        agg_fp = fingerprint(info["edges_agg_fp"], batch_fp, "edges_agg+append")
+        edges_agg_ckpt = StageCheckpoint(str(out), "edges_agg", agg_fp)
+        nodes_fp = fingerprint(info["nodes_fp"], batch_fp, "nodes+append")
+        nodes_ckpt = StageCheckpoint(str(out), "nodes", nodes_fp)
+        # the base's parts are hash-aligned only where its manifests say in
+        # how many parts (a table written past the broadcast budget, or by
+        # older code, records none); drift rewrites base keys, so nothing
+        # aligns; past the budget (graph_parts is None) the fold's tasks
+        # could not hold the map
+        recorded = {(ck.manifest() or {}).get("metrics", {}).get("parts")
+                    for ck in (edges_agg_ckpt, nodes_ckpt)}
+        base_parts = recorded.pop() if len(recorded) == 1 else None
+        fold = not remap and base_parts is not None and graph_parts(extracted, new_map) is not None
+        path = "fold" if fold else "regraph"
+        if fold:
+            parts = base_parts
+            graph = functools.cache(
+                lambda: materialize_graph(extracted, new_map, base=(out, base_parts))
+            )
         else:
-            edges_ckpt.append_parts(delta_edges, tag, edges_fp)
-        edges_agg_ckpt.run(lambda: merge_edges_agg(base_agg, delta_edges))
-        nodes_ckpt.run(lambda: merge_nodes_agg(base_nodes, node_counts(extracted, new_map)))
+            # every extracted checkpoint the graph holds, and the delta's
+            everything = concat_blocks([
+                *(StageCheckpoint(str(root), "extracted", "").read().materialize()
+                  for root in _extracted_roots(out, info)),
+                extracted,
+            ])
+            parts = graph_parts(everything, new_map)
+            graph = functools.cache(lambda: materialize_graph(everything, new_map))
+        record = {"parts": parts} if parts else None
+        edges_agg_ckpt.run(lambda: graph()[1], metrics=record, write_executor=writer)
+        nodes_ckpt.run(lambda: graph()[2], metrics=record, write_executor=writer)
+        if fold:
+            edges_ckpt.append_parts(lambda: graph()[0], tag, edges_fp)
+        else:
+            edges_ckpt.run(lambda: graph()[0])
+        for ck in (asm_ckpt, ext_ckpt, edges_agg_ckpt, nodes_ckpt):
+            if ck.write_future is not None:
+                ck.write_future.result()
 
     # ---- 5. state update (same shape build_kg wrote) --------------------------
     # staged until build_info.json commits it: a kill before that leaves the

@@ -30,29 +30,33 @@ Scale design:
   finishes the sum. No Ray Data execution and no sort: per-task memory is
   O(block) on the map side and O(part) on the reduce side, and the driver
   holds only refs.
+- Part p of the edges_agg / nodes that graph writes holds the keys with
+  ``part_ids(key, P) == p``. An append runs the same graph over the
+  delta's blocks with the base's P (``base``): reduce task p also sums
+  base part p, so the new version keeps the layout and P.
 - Past ``CANON_BROADCAST_LIMIT`` canonical-map entries no worker may hold
   the map, and the three tables come from ``materialize_edges`` (shuffle
-  apply of the map), ``materialize_edges_agg`` and ``materialize_nodes``.
-  Those, and the incremental merges, run one keyed-sum kernel
-  (``_keyed_sum``): a per-batch partial aggregate, then one
-  ``exchange.map_partitions``. A small append needs no exchange: the
-  written parts already hold each key once, so ``fold_keyed_sum`` adds the
-  delta's per-key sums to them part by part.
+  apply of the map), ``materialize_edges_agg`` and ``materialize_nodes``,
+  which run one keyed-sum kernel (``_keyed_sum``): a per-batch partial
+  aggregate, then one ``exchange.map_partitions``.
 """
 
 from __future__ import annotations
 
+import os
+import pathlib
 from functools import partial
 
 import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
+import pyarrow.parquet as pq
 import ray
 import ray.data as rd
 from ray.data import Dataset
 
-from .. import rules
 from ..exchange import PARTS, map_partitions, part_ids, split_by_part
+from ..state.manifest import part_file
 from ..util import cached_get
 from .canon import (
     CANON_BROADCAST_LIMIT,
@@ -329,18 +333,34 @@ def _graph_map(block: pa.Table, cmap_ref: list, parts: int):
     return [edges, *triples, *counts]
 
 
-def _graph_reduce(nodes: bool, *slices: pa.Table) -> pa.Table:
+def _graph_reduce(nodes: bool, base_part: str | None, *slices: pa.Table) -> pa.Table:
     """Reduce round of ``materialize_graph``: one part's slices of the
-    triple sums (``nodes=False``) or mention counts summed per key; node
-    counts become node rows."""
+    triple sums (``nodes=False``) or mention counts, and the base's part
+    file ``base_part`` if there is one (an empty part has no file), summed
+    per key; node counts become node rows."""
     schema = _NODE_SUM if nodes else _TRIPLE_SUM
+    if base_part is not None and os.path.exists(base_part):
+        slices = (pq.read_table(base_part, columns=schema.names).cast(schema), *slices)
     live = [t for t in slices if t.num_rows]
     summed = sum_by_key(pa.concat_tables(live), schema) if live else schema.empty_table()
     return node_rows(summed) if nodes else summed
 
 
+def graph_parts(extracted: Dataset, cmap: dict[str, str]) -> int | None:
+    """The part count P of the edges_agg and nodes that ``materialize_graph``
+    makes of the materialized ``extracted`` under ``cmap``, where part p
+    holds the keys with ``part_ids(key, P) == p``; None past the broadcast
+    budget, where an exchange lays the parts out."""
+    if len(cmap) > CANON_BROADCAST_LIMIT:
+        return None
+    return max(1, min(PARTS, extracted.num_blocks()))
+
+
 def materialize_graph(
-    extracted: Dataset, cmap: dict[str, str], broadcast_limit: int | None = None
+    extracted: Dataset,
+    cmap: dict[str, str],
+    broadcast_limit: int | None = None,
+    base: tuple[pathlib.Path, int] | None = None,
 ) -> tuple[Dataset, Dataset, Dataset]:
     """Extraction output -> (edges, edges_agg, nodes) under ``cmap``, each
     a materialized dataset. Under the canonical-map broadcast budget: one
@@ -348,10 +368,16 @@ def materialize_graph(
     ``min(PARTS, blocks)`` parts, so edges has one block per extracted
     block and edges_agg and nodes one per part. Over it:
     ``materialize_edges`` (shuffle apply of the map),
-    ``materialize_edges_agg`` of its result and ``materialize_nodes``."""
+    ``materialize_edges_agg`` of its result and ``materialize_nodes``.
+
+    ``base`` = (out dir, P) folds ``extracted`` (an append's delta, under a
+    ``cmap`` within the budget) into the edges_agg and nodes checkpoints
+    there, laid out in P parts (``graph_parts``): the graph runs with P
+    parts, and reduce task p also sums the base's part p, so edges_agg and
+    nodes are the new versions of those tables; edges is the delta's own."""
     if broadcast_limit is None:
         broadcast_limit = CANON_BROADCAST_LIMIT
-    if len(cmap) > broadcast_limit:
+    if base is None and len(cmap) > broadcast_limit:
         edges = materialize_edges(extracted, cmap, broadcast_limit).materialize()
         return (
             edges,
@@ -359,13 +385,23 @@ def materialize_graph(
             materialize_nodes(extracted, cmap, broadcast_limit).materialize(),
         )
     blocks = list(extracted.to_arrow_refs())
-    parts = max(1, min(PARTS, len(blocks)))
+    parts = base[1] if base else max(1, min(PARTS, len(blocks)))
+
+    def base_part(table: str, p: int) -> str | None:
+        return None if base is None else str(base[0] / table / part_file(p))
+
     cmap_ref = [ray.put(cmap)]
     map_task = ray.remote(num_returns=1 + 2 * parts)(_graph_map)
     mapped = [map_task.remote(b, cmap_ref, parts) for b in blocks]
     reduce_task = ray.remote(_graph_reduce)
-    agg = [reduce_task.remote(False, *[m[1 + p] for m in mapped]) for p in range(parts)]
-    nodes = [reduce_task.remote(True, *[m[1 + parts + p] for m in mapped]) for p in range(parts)]
+    agg = [
+        reduce_task.remote(False, base_part("edges_agg", p), *[m[1 + p] for m in mapped])
+        for p in range(parts)
+    ]
+    nodes = [
+        reduce_task.remote(True, base_part("nodes", p), *[m[1 + parts + p] for m in mapped])
+        for p in range(parts)
+    ]
     edges = [m[0] for m in mapped] or [ray.put(_EDGE_SUM.empty_table())]
     return rd.from_arrow_refs(edges), rd.from_arrow_refs(agg), rd.from_arrow_refs(nodes)
 
@@ -373,88 +409,14 @@ def materialize_graph(
 def merge_edges_agg(base_agg: Dataset, delta_edges: Dataset) -> Dataset:
     """Incremental KG update: fold a NEW batch of per-mention edges (a
     day's freshly-extracted conversations) into an existing aggregated
-    triple table without rebuilding it — the continuously-updated-KG
-    compaction step that ``append_kg`` runs. Returns the updated
+    triple table without rebuilding it, in one exchange (the
+    ``kg_incremental_update`` query; ``append_kg`` folds with
+    ``materialize_graph``'s ``base`` instead). Returns the updated
     (subj, pred, obj, weight) table; weights are additive, so
     merge(agg(A), B) == agg(A + B) exactly — the equivalence the value
     oracle gates. The base is already one row per triple, so its blocks
     only re-partition into the same exchange as ``materialize_edges_agg``."""
     return _keyed_sum([base_agg, delta_edges], _TRIPLE_SUM)
-
-
-def merge_nodes_agg(base_nodes: Dataset, delta: Dataset) -> Dataset:
-    """Incremental twin of ``merge_edges_agg`` for the node table: fold a
-    delta into the base aggregate in one exchange. ``delta`` holds node rows
-    or unsummed (entity_id, surface, type, freq) counts, such as
-    ``node_counts`` of a delta's extraction. Frequencies are additive, so
-    the result equals nodes(A + B) exactly when both sides were counted
-    under the SAME canonical map (append_kg remaps the base first when the
-    map drifted)."""
-    return _node_rows(_keyed_sum([base_nodes, delta], _NODE_SUM))
-
-
-def fold_keyed_sum(base: pa.Table, delta: pa.Table, schema: pa.Schema):
-    """Exchange-free merge of one part of a keyed-sum table: add the value
-    (last column of ``schema``) of each ``delta`` row to the ``base`` row
-    with the same key (the other columns). Both sides hold each key at most
-    once, and keys are non-null. ``delta`` is cast to ``base``'s schema
-    first: the base may be ``large_string`` after an exchange. Returns the
-    merged part, in ``base``'s row order and schema, and a bool mask of the
-    ``delta`` rows whose key was found."""
-    *keys, value = schema.names
-    delta = delta.select(base.column_names).cast(base.schema)
-    left = base.select(keys).append_column("__l", pa.array(np.arange(base.num_rows)))
-    right = delta.select(keys).append_column("__r", pa.array(np.arange(delta.num_rows)))
-    hits = left.join(right, keys, join_type="inner", use_threads=False)
-    li = hits["__l"].to_numpy()
-    ri = hits["__r"].to_numpy()
-    add = np.zeros(base.num_rows, np.int64)
-    add[li] = delta[value].to_numpy()[ri]
-    merged = pc.add(base[value], pa.array(add)).cast(base.schema.field(value).type)
-    matched = np.zeros(delta.num_rows, bool)
-    matched[ri] = True
-    return base.set_column(base.column_names.index(value), value, merged), matched
-
-
-def remap_canonical_ids(ds: Dataset, remap: dict[str, str], columns: list[str]) -> Dataset:
-    """Rewrite drifted canonical entity ids (``canon:<old>`` -> ``canon:<new>``)
-    in the given columns. ``remap`` is keyed/valued on BARE canonical norms
-    and is tiny (one entry per drifted CLUSTER, not per norm), so a broadcast
-    is always safe; the rewrite is dictionary-encoded (O(distinct ids) Python
-    per batch). Also rewrites a bare ``canonical`` column if present/asked."""
-    if not remap:
-        return ds
-    cp = rules.CANONICAL_PREFIX
-    remap_ref = ray.put(dict(remap))
-
-    def fn(t: pa.Table) -> pa.Table:
-        m = cached_get(remap_ref)
-
-        def rewrite(v: str) -> str:
-            if v.startswith(cp):
-                return cp + m.get(v[len(cp):], v[len(cp):])
-            return v
-
-        cols = {}
-        for name in t.column_names:
-            if name in columns:
-                if name == "canonical":
-                    # bare canonical norms (node table) — no prefix
-                    arr = t.column(name)
-                    if isinstance(arr, pa.ChunkedArray):
-                        arr = arr.combine_chunks()
-                    d = arr.dictionary_encode()
-                    new_dict = pa.array(
-                        [m.get(v, v) for v in d.dictionary.to_pylist()], pa.string()
-                    )
-                    cols[name] = pa.DictionaryArray.from_arrays(d.indices, new_dict).cast(pa.string())
-                else:
-                    cols[name] = _canon_array(t.column(name), rewrite)
-            else:
-                cols[name] = t.column(name)
-        return pa.table(cols)
-
-    return ds.map_batches(fn, batch_format="pyarrow", batch_size=None, zero_copy_batch=True)
 
 
 def reaggregate_turn_edges(edges: Dataset) -> Dataset:

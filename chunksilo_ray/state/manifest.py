@@ -66,6 +66,11 @@ def input_fingerprint(path: str) -> str:
 # 7.4 s -> 2.2 s once writes parallelized per block).
 
 
+def part_file(i: int, prefix: str = "part-") -> str:
+    """The file name ``_write_blocks`` gives the ``i``-th block it writes."""
+    return f"{prefix}{i:06d}.parquet"
+
+
 @ray.remote(num_cpus=0.5)
 def _write_block(block, path: str) -> tuple[int, int]:
     pq.write_table(block, path)
@@ -87,7 +92,7 @@ def _write_blocks(ds: Dataset, dest: pathlib.Path, prefix: str) -> list[dict]:
     (locality), and return (rows, bytes) so the manifest needs no per-file
     metadata re-read."""
     refs = ds.to_arrow_refs()
-    names = [f"{prefix}{i:06d}.parquet" for i in range(len(refs))]
+    names = [part_file(i, prefix) for i in range(len(refs))]
     results = ray.get([_write_block.remote(b, str(dest / n)) for b, n in zip(refs, names)])
     parts = []
     for name, (rows, nbytes) in zip(names, results):
@@ -208,18 +213,19 @@ class StageCheckpoint:
         staged = self.staging_dir()
         self.commit(staged, _write_blocks(ds, staged, "part-"), metrics)
 
-    def append_parts(self, ds: Dataset, tag: str, fp: str) -> None:
-        """Add ``ds``'s blocks to this existing checkpoint as extra part
-        files (``part-<tag>-NNNNNN.parquet``) and move its manifest to
-        fingerprint ``fp`` in place. A checkpoint already at ``fp`` holds
-        them: nothing is written, so a rerun after a kill adds them once."""
+    def append_parts(self, build: Callable[[], Dataset], tag: str, fp: str) -> None:
+        """Add the pinned blocks of ``build()`` to this existing checkpoint as
+        extra part files (``part-<tag>-NNNNNN.parquet``) and move its
+        manifest to fingerprint ``fp`` in place. A checkpoint already at
+        ``fp`` holds them: nothing is built or written, so a rerun after a
+        kill adds them once."""
         m = self.manifest()
         self.fp = fp
         if m["fingerprint"] == fp:
             return
         for stale in self.dir.glob(f"part-{tag}-*.parquet"):  # a killed attempt's
             stale.unlink()
-        parts = _write_blocks(ds, self.dir, f"part-{tag}-")
+        parts = _write_blocks(build().materialize(), self.dir, f"part-{tag}-")
         m["parts"] += parts
         m["rows"] += sum(p["rows"] for p in parts)
         m["fingerprint"] = fp

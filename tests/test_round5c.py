@@ -268,46 +268,8 @@ def test_canonical_remap_merge_and_conflict():
         canonical_remap(old2, new2, {"a1", "a2"})
 
 
-def test_merge_nodes_agg_equals_rebuild(ray_session):
-    """merge(nodes(A), nodes(B)) == additive re-aggregate, including a
-    drifted-canonical rewrite on the base side."""
-    import ray.data as rd
-
-    from chunksilo_ray.stages.materialize import merge_nodes_agg, remap_canonical_ids
-
-    base = rd.from_arrow(
-        pa.table(
-            {
-                "entity_id": ["ent:old", "person:alice"],
-                "surface": ["Old", "Alice"],
-                "canonical": ["old", "alice"],
-                "type": ["unknown", "person"],
-                "freq": pa.array([3, 2], pa.int64()),
-            }
-        )
-    )
-    delta = rd.from_arrow(
-        pa.table(
-            {
-                "entity_id": ["ent:new", "person:alice"],
-                "surface": ["Old", "Alice"],
-                "canonical": ["new", "alice"],
-                "type": ["unknown", "person"],
-                "freq": pa.array([4, 1], pa.int64()),
-            }
-        )
-    )
-    base = remap_canonical_ids(base, {"old": "new"}, ["entity_id", "canonical"])
-    rows = {
-        (r["entity_id"], r["surface"]): (r["freq"], r["canonical"])
-        for r in merge_nodes_agg(base, delta).take_all()
-    }
-    assert rows[("ent:new", "Old")] == (7, "new")
-    assert rows[("person:alice", "Alice")] == (3, "alice")
-
-
 # ---------------------------------------------------------------------------
-# small-delta path vs exchange path
+# the fold into the base's parts, and the graph re-run
 
 
 def _rows(path):
@@ -338,9 +300,10 @@ def _build_day1(split_corpus, out, cfg=None):
 def test_small_and_exchange_append_paths_agree(
     split_corpus, tmp_path, monkeypatch, ingested_convs, linking
 ):
-    """The same append through the small-delta path (default budget) and
-    the exchange path (budget 0) writes the same graph and ingest state;
-    a zero per-row budget dead-letters every delta row."""
+    """The same append assembled by one task (default budget) and by
+    assemble_dialogues (budget 0) folds into the same graph and writes the
+    same ingest state; a zero per-row budget dead-letters every delta
+    row."""
     from chunksilo_ray.config import Config
     from chunksilo_ray.pipelines import kg_append
     from chunksilo_ray.stages.canon import load_canonical_map
@@ -353,14 +316,12 @@ def test_small_and_exchange_append_paths_agree(
         shutil.copytree(tmp_path / "base", out)
         monkeypatch.setattr(kg_append, "SMALL_DELTA_ROWS", budget)
         res = kg_append.append_kg(str(out), str(split_corpus / "day2.parquet"), cfg=cfg)
-        assert res["metrics"]["path"] == path
+        assert res["metrics"]["path"] == "fold"
         assert res["metrics"]["skipped_existing_convs"] == 5
         outs[path] = (out, res["metrics"])
 
     (small, m_small), (exch, m_exch) = outs["small"], outs["exchange"]
-    assert {k: v for k, v in m_small.items() if k != "path"} == {
-        k: v for k, v in m_exch.items() if k != "path"
-    }
+    assert m_small == m_exch
     for name in ("edges", "edges_agg", "nodes"):
         assert _rows(small / name) == _rows(exch / name), name
         _manifest_matches_disk(small / name)
@@ -371,7 +332,7 @@ def test_small_and_exchange_append_paths_agree(
 
     info = json.loads((small / "state" / "build_info.json").read_text())
     info_exch = json.loads((exch / "state" / "build_info.json").read_text())
-    assert info == info_exch | {"appends": [a | {"path": "small"} for a in info_exch["appends"]]}
+    assert info == info_exch
     assert load_canonical_map(small, info["cmap_fp"]) == load_canonical_map(exch, info["cmap_fp"])
     tag = info["appends"][0]["batch_fp"][:8]
     assert ingested_convs(small) == ingested_convs(exch)
@@ -390,8 +351,8 @@ def test_small_and_exchange_append_paths_agree(
 
 def test_append_with_canonical_drift_equals_rebuild(split_corpus, tmp_path):
     """A day-2 norm that bridges two day-1 clusters re-canonicalizes the
-    base: the append takes the exchange path, rewrites the base tables,
-    and still equals the rebuild."""
+    base: the append re-runs the graph over every extracted table under
+    the new map, and equals the rebuild."""
     from chunksilo_ray.pipelines.kg import build_kg
     from chunksilo_ray.pipelines.kg_append import append_kg
 
@@ -426,7 +387,7 @@ def test_append_with_canonical_drift_equals_rebuild(split_corpus, tmp_path):
     build_kg(str(tmp_path / "day1.parquet"), alias, str(tmp_path / "kg"), with_chunks=False)
     res = append_kg(str(tmp_path / "kg"), str(tmp_path / "day2.parquet"))
     assert res["metrics"]["drifted_clusters"] > 0
-    assert res["metrics"]["path"] == "exchange"
+    assert res["metrics"]["path"] == "regraph"
     _assert_equals_rebuild(res, full)
 
 
@@ -434,25 +395,35 @@ def test_append_with_canonical_drift_equals_rebuild(split_corpus, tmp_path):
 def test_append_killed_after_the_edges_write_adds_them_once(
     split_corpus, rebuild, tmp_path, monkeypatch, path
 ):
-    """A rerun after a kill between the edges write and the aggregate merge
-    must not list the delta's edge parts twice."""
+    """A rerun after a kill between the edges write and the fold's write
+    of edges_agg must not list the delta's edge parts twice; for a delta
+    assembled by one task (small) and by assemble_dialogues (exchange)."""
     from chunksilo_ray.pipelines import kg_append
+    from chunksilo_ray.state.manifest import StageCheckpoint
 
-    def die(*args, **kwargs):
-        raise KeyboardInterrupt
+    write = StageCheckpoint._write_checkpoint
+
+    def die_at_edges_agg(ckpt, *args, **kwargs):
+        if ckpt.stage == "edges_agg":
+            raise KeyboardInterrupt
+        write(ckpt, *args, **kwargs)
 
     out = tmp_path / "kg"
     _build_day1(split_corpus, out)
     if path == "exchange":
         monkeypatch.setattr(kg_append, "SMALL_DELTA_ROWS", 0)
-    monkeypatch.setattr(kg_append, "_fold_small" if path == "small" else "merge_edges_agg", die)
+    edges_before = pq.read_table(out / "edges").num_rows
+    agg_before = _rows(out / "edges_agg")
+    monkeypatch.setattr(StageCheckpoint, "_write_checkpoint", die_at_edges_agg)
     with pytest.raises(KeyboardInterrupt):
         kg_append.append_kg(str(out), str(split_corpus / "day2.parquet"))
     monkeypatch.undo()
     if path == "exchange":
         monkeypatch.setattr(kg_append, "SMALL_DELTA_ROWS", 0)
+    assert _rows(out / "edges_agg") == agg_before
+    assert pq.read_table(out / "edges").num_rows > edges_before
     res = kg_append.append_kg(str(out), str(split_corpus / "day2.parquet"))
-    assert res["metrics"]["path"] == path
+    assert res["metrics"]["path"] == "fold"
     _manifest_matches_disk(out / "edges")
     assert res["metrics"]["edges"] == pq.read_table(out / "edges").num_rows
     _assert_equals_rebuild(res, rebuild[1])
@@ -497,7 +468,7 @@ def test_small_append_killed_during_the_merge_resumes(
         assert _rows(out / "edges_agg") != before
 
     res = kg_append.append_kg(str(out), str(split_corpus / "day2.parquet"))
-    assert res["metrics"]["path"] == "small"
+    assert res["metrics"]["path"] == "fold"
     assert not list(out.glob("*.tmp"))
     _assert_equals_rebuild(res, rebuild[1])
 
@@ -549,11 +520,29 @@ def test_append_killed_after_a_state_write_resumes(
     assert not (out / "state" / "next").exists()
 
 
+_AGG_KEYS = {"edges_agg": ["subj", "pred", "obj"], "nodes": ["entity_id", "surface", "type"]}
+
+
+def _assert_hash_aligned(table_dir, parts):
+    """The manifest records ``parts``, and each part file p holds only keys
+    with ``part_ids(key, parts) == p``."""
+    from chunksilo_ray.exchange import part_ids
+    from chunksilo_ray.state.manifest import part_file
+
+    m = json.loads((table_dir / "_MANIFEST.json").read_text())
+    assert m["metrics"]["parts"] == parts
+    names = {part_file(p): p for p in range(parts)}
+    for f in table_dir.glob("*.parquet"):
+        t = pq.read_table(f)
+        assert set(part_ids(t, _AGG_KEYS[table_dir.name], parts).to_pylist()) == {names[f.name]}
+
+
 def test_successive_small_appends_keep_the_aggregate_part_count(split_corpus, tmp_path):
-    """Each small append folds its new keys into an existing part, so
-    edges_agg / nodes keep the base's part files however many appends
-    follow, and every append still equals the rebuild over what it has
-    seen. edges gains the delta's rows as parts of their own."""
+    """Each append folds into the base's hash-aligned parts, so edges_agg /
+    nodes keep the base's part count P and part files however many appends
+    follow, new keys included, every part p holds only keys hashing to p,
+    and every append still equals the rebuild over what it has seen. edges
+    gains the delta's rows as parts of their own."""
     from chunksilo_ray.pipelines.kg import build_kg
     from chunksilo_ray.pipelines.kg_append import append_kg
 
@@ -568,17 +557,27 @@ def test_successive_small_appends_keep_the_aggregate_part_count(split_corpus, tm
     def part_files(name):
         return sorted(f.name for f in (out / name).glob("*.parquet"))
 
-    base = {name: part_files(name) for name in ("edges_agg", "nodes")}
+    def keys(name):
+        return {tuple(r[k] for k in _AGG_KEYS[name]) for r in map(dict, _rows(out / name))}
+
+    base = {name: part_files(name) for name in _AGG_KEYS}
     assert all(base.values())
+    parts = json.loads((out / "nodes" / "_MANIFEST.json").read_text())["metrics"]["parts"]
+    for name in _AGG_KEYS:
+        _assert_hash_aligned(out / name, parts)
     edge_parts = len(part_files("edges"))
     seen = [day1]
     for k in range(3):
+        before = {name: keys(name) for name in _AGG_KEYS}
         batch = new.filter(pa.compute.is_in(new["conv_id"], value_set=pa.array(convs[k::3])))
         pq.write_table(batch, tmp_path / f"delta{k}.parquet")
         seen.append(batch)
         res = append_kg(str(out), str(tmp_path / f"delta{k}.parquet"))
-        assert res["metrics"]["path"] == "small"
+        assert res["metrics"]["path"] == "fold"
         assert {name: part_files(name) for name in base} == base
+        for name in _AGG_KEYS:
+            assert keys(name) > before[name], name  # the delta brought new keys
+            _assert_hash_aligned(out / name, parts)
         for name in ("edges", "edges_agg", "nodes"):
             _manifest_matches_disk(out / name)
         (tmp_path / f"seen{k}").mkdir()
@@ -616,7 +615,7 @@ def test_small_append_onto_an_empty_graph(split_corpus, tmp_path):
     for name in ("edges_agg", "nodes"):
         assert json.loads((out / name / "_MANIFEST.json").read_text())["parts"] == []
     res = append_kg(str(out), str(split_corpus / "day2.parquet"))
-    assert res["metrics"]["path"] == "small"
+    assert res["metrics"]["path"] == "fold"
     for name in ("edges_agg", "nodes"):
         _manifest_matches_disk(out / name)
         assert len(list((out / name).glob("*.parquet"))) == 1
@@ -624,21 +623,76 @@ def test_small_append_onto_an_empty_graph(split_corpus, tmp_path):
     _assert_equals_rebuild(res, full)
 
 
-def test_fold_keyed_sum_casts_the_delta_to_the_base_schema():
-    """The base part may hold large_string keys (after an exchange); the
-    delta's string keys are cast to it before the key join."""
-    from chunksilo_ray.stages.materialize import _TRIPLE_SUM, fold_keyed_sum
+def test_fold_onto_a_dead_letter_base_equals_the_rebuild(split_corpus, tmp_path):
+    """With a zero per-row budget every row is dead-lettered, so the base's
+    edges_agg / nodes have no part files at all: the fold takes its part
+    count from the manifests, and equals the rebuild."""
+    from chunksilo_ray.config import Config
+    from chunksilo_ray.pipelines.kg import build_kg
+    from chunksilo_ray.pipelines.kg_append import append_kg
 
-    ls = pa.large_string()
-    base = pa.table({
-        "subj": pa.array(["a", "b"], ls), "pred": pa.array(["p", "p"], ls),
-        "obj": pa.array(["x", "y"], ls), "weight": pa.array([3, 4], pa.int64()),
-    })
-    delta = pa.table({
-        "subj": ["c", "b"], "pred": ["p", "p"], "obj": ["z", "y"],
-        "weight": pa.array([1, 2], pa.int64()),
-    })
-    merged, matched = fold_keyed_sum(base, delta, _TRIPLE_SUM)
-    assert merged.schema == base.schema
-    assert merged["weight"].to_pylist() == [3, 6]
-    assert matched.tolist() == [False, True]
+    cfg = Config({"linking": {"per_row_seconds": 0.0}})
+    out = tmp_path / "kg"
+    _build_day1(split_corpus, out, cfg)
+    for name in _AGG_KEYS:
+        assert not list((out / name).glob("*.parquet"))
+    parts = json.loads((out / "nodes" / "_MANIFEST.json").read_text())["metrics"]["parts"]
+    res = append_kg(str(out), str(split_corpus / "day2.parquet"), cfg=cfg)
+    assert res["metrics"]["path"] == "fold"
+    assert res["metrics"]["dead_letter_turns"] > 0
+    for name in _AGG_KEYS:
+        _assert_hash_aligned(out / name, parts)
+    alias = str(split_corpus / "alias_index.parquet")
+    full = tmp_path / "full"
+    build_kg(str(split_corpus / "merged"), alias, str(full), cfg=cfg, with_chunks=False)
+    for name in ("edges", "edges_agg", "nodes"):
+        assert _rows(out / name) == _rows(full / name), name
+
+
+@pytest.mark.parametrize("base", ["no_parts_record", "over_budget"])
+def test_append_regraphs_where_it_cannot_fold(split_corpus, rebuild, tmp_path, monkeypatch, base):
+    """A base whose edges_agg manifest records no part count (as older code
+    wrote it), or a canonical map over the broadcast budget, leaves no
+    hash-aligned parts to fold into: the append re-runs the graph over
+    every extracted table and equals the rebuild."""
+    from chunksilo_ray.pipelines.kg_append import append_kg
+    from chunksilo_ray.stages import materialize
+
+    out = tmp_path / "kg"
+    _build_day1(split_corpus, out)
+    if base == "no_parts_record":
+        path = out / "edges_agg" / "_MANIFEST.json"
+        m = json.loads(path.read_text())
+        del m["metrics"]["parts"]
+        path.write_text(json.dumps(m))
+    else:
+        assert rebuild[1]["metrics"]["canonical_merges"] > 0
+        monkeypatch.setattr(materialize, "CANON_BROADCAST_LIMIT", 0)
+    res = append_kg(str(out), str(split_corpus / "day2.parquet"))
+    assert res["metrics"]["path"] == "regraph"
+    _assert_equals_rebuild(res, rebuild[1])
+    info = json.loads((out / "state" / "build_info.json").read_text())
+    assert info["appends"][0]["path"] == "regraph"
+    for name in _AGG_KEYS:
+        m = json.loads((out / name / "_MANIFEST.json").read_text())
+        if base == "over_budget":  # exchange-written: no part count to fold into
+            assert "parts" not in m["metrics"]
+        else:
+            _assert_hash_aligned(out / name, m["metrics"]["parts"])
+
+
+@pytest.mark.parametrize("budget", ["small", "large"])
+def test_append_execution_counts(split_corpus, tmp_path, monkeypatch, executions, budget):
+    """A delta within SMALL_DELTA_ROWS is assembled by one task and starts no
+    Ray Data execution; a larger one starts one, the read under
+    assemble_dialogues. Everything after the assembly is plain tasks."""
+    from chunksilo_ray.pipelines import kg_append
+
+    out = tmp_path / "kg"
+    _build_day1(split_corpus, out)
+    if budget == "large":
+        monkeypatch.setattr(kg_append, "SMALL_DELTA_ROWS", 0)
+    executions.clear()
+    res = kg_append.append_kg(str(out), str(split_corpus / "day2.parquet"))
+    assert res["metrics"]["path"] == "fold"
+    assert len(executions) == (0 if budget == "small" else 1)
