@@ -375,11 +375,10 @@ def build_kg(
         # one task graph over every shard's blocks yields all three tables;
         # it runs at the first of the three checkpoints that is not complete,
         # and each table keeps its own checkpoint, so a resume rebuilds only
-        # the missing ones. Under the broadcast budget edges_agg and nodes
-        # record their part count: an append folds into parts laid out by it
+        # the missing ones. edges_agg and nodes record their part count: an
+        # append folds into parts laid out by it
         graph = functools.cache(lambda: materialize_graph(extracted, cmap))
-        parts = graph_parts(extracted, cmap) if ext_open else None
-        record = {"parts": parts} if parts else None
+        record = {"parts": graph_parts(extracted)} if ext_open else None
         edges, edges_agg, nodes = (
             ck.run(lambda i=i: graph()[i], metrics=record if i else None, write_executor=writer)
             for i, ck in enumerate(graph_ckpts)

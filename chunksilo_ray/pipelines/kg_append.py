@@ -24,16 +24,17 @@ deleted, re-embed only the changed files) at CONVERSATION granularity:
          same cost class as the original build's map step). Drift on old
          norms is monotone (union-find only merges); a non-merge drift (LSH
          cap artifact) fails loud (CanonicalDriftError).
-      4. graph             — the build's ``materialize_graph``. Without
-         drift, with the new map within the broadcast budget and the base's
-         edges_agg / nodes manifests recording their part count P, it
-         folds: the graph runs over the delta's blocks only, reduce task p
-         also sums base part p (which holds the keys hashing to p), and the
-         result is the new version of each table, still in P hash-aligned
-         parts; the delta's per-turn edges become extra edges parts.
-         Otherwise it re-runs the whole graph, under the new map, over
-         every extracted checkpoint build_info.json lists plus the
-         delta's, into fresh edges / edges_agg / nodes checkpoints.
+      4. graph             — the build's ``materialize_graph``, at any map
+         size. Without drift, and with the base's edges_agg / nodes
+         manifests recording their part count P, it folds: the graph runs
+         over the delta's blocks only, reduce task p also sums base part p
+         (which holds the keys hashing to p), and the result is the new
+         version of each table, still in P hash-aligned parts; the delta's
+         per-turn edges become extra edges parts. Otherwise (drift, or a
+         base written by older code) it re-runs the whole graph, under the
+         new map, over every extracted checkpoint build_info.json lists
+         plus the delta's, into fresh edges / edges_agg / nodes
+         checkpoints.
       5. state update      — the delta's dead letters; the norm union and
          the new canonical map, staged under out/state/next; then
          build_info.json, whose new ``appends`` entry adds the delta's
@@ -299,19 +300,16 @@ def append_kg(
         nodes_fp = fingerprint(info["nodes_fp"], batch_fp, "nodes+append")
         nodes_ckpt = StageCheckpoint(str(out), "nodes", nodes_fp)
         # the base's parts are hash-aligned only where its manifests say in
-        # how many parts (a table written past the broadcast budget, or by
-        # older code, records none); drift rewrites base keys, so nothing
-        # aligns; past the budget (graph_parts is None) the fold's tasks
-        # could not hold the map
+        # how many parts (a table written by older code records none); drift
+        # rewrites base keys, so nothing aligns
         recorded = {(ck.manifest() or {}).get("metrics", {}).get("parts")
                     for ck in (edges_agg_ckpt, nodes_ckpt)}
-        base_parts = recorded.pop() if len(recorded) == 1 else None
-        fold = not remap and base_parts is not None and graph_parts(extracted, new_map) is not None
+        parts = recorded.pop() if len(recorded) == 1 else None
+        fold = not remap and parts is not None
         path = "fold" if fold else "regraph"
         if fold:
-            parts = base_parts
             graph = functools.cache(
-                lambda: materialize_graph(extracted, new_map, base=(out, base_parts))
+                lambda: materialize_graph(extracted, new_map, base=(out, parts))
             )
         else:
             # every extracted checkpoint the graph holds, and the delta's
@@ -320,9 +318,9 @@ def append_kg(
                   for root in _extracted_roots(out, info)),
                 extracted,
             ])
-            parts = graph_parts(everything, new_map)
+            parts = graph_parts(everything)
             graph = functools.cache(lambda: materialize_graph(everything, new_map))
-        record = {"parts": parts} if parts else None
+        record = {"parts": parts}
         edges_agg_ckpt.run(lambda: graph()[1], metrics=record, write_executor=writer)
         nodes_ckpt.run(lambda: graph()[2], metrics=record, write_executor=writer)
         if fold:

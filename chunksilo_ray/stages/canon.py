@@ -14,7 +14,8 @@ Distributed shape (the LSH groupby is SHUFFLE #2 of the pipeline):
          skew guard, reference-style cap pattern search.py:338)
       -> verify: exact jaccard >= tau OR BoW-cosine >= tau2
       -> driver-side union-find over the (small, capped) verified edge list
-      -> broadcast canonical map -> map_batches rewrite of placeholder ids
+      -> canonical map, which materialize.materialize_graph applies to the
+         placeholder ids (broadcast, or a per-part lookup past its budget)
 
 The oracle (chunksilo_ray.oracle.extractor) runs the same verify thresholds
 EXACTLY (all candidate pairs, no LSH) — the P/R gate absorbs LSH misses.
@@ -387,16 +388,6 @@ def canonicalize_id(entity_id: str, cmap: dict[str, str]) -> str:
     return entity_id
 
 
-# an open-ended 100-TB entity vocabulary can outgrow a per-worker map
-# replica; past this entry count the apply degrades to a shuffle left join
-# per column (nothing map-sized on the driver or any single worker)
-CANON_BROADCAST_LIMIT = 5_000_000
-
-# non-surface rows ride the rewrite exchange under this join-key sentinel
-# (norms are non-empty by construction — batch_distinct_unknown_norms)
-_NO_NORM = "\x00"
-
-
 def _canonical_map_table(cmap: dict[str, str]) -> pa.Table:
     keys = sorted(cmap)
     return pa.table(
@@ -405,11 +396,6 @@ def _canonical_map_table(cmap: dict[str, str]) -> pa.Table:
             "canonical": pa.array([cmap[k] for k in keys], pa.string()),
         }
     )
-
-
-def canonical_map_dataset(cmap: dict[str, str]):
-    """Flat (norm, canonical) Dataset view of a canonical map."""
-    return rd.from_arrow(_canonical_map_table(cmap))
 
 
 # the map's one persistent form: a flat (norm, canonical) Parquet table with
@@ -441,58 +427,3 @@ def load_canonical_map(out, fp: str) -> dict[str, str] | None:
     if (t.schema.metadata or {}).get(_CMAP_FP_KEY) != fp.encode():
         return None
     return dict(zip(t["norm"].to_pylist(), t["canonical"].to_pylist()))
-
-
-def _apply_cmap_shuffle(ds: Dataset, cmap_ds, columns: list[str]) -> Dataset:
-    """Distributed canonical-map apply: one shuffle LEFT join per column
-    against the (norm, canonical) table — the map never materializes whole
-    anywhere. Unmatched surface rows keep their own norm as canonical;
-    non-surface ids pass through untouched (exact ``canonicalize_id``
-    semantics, parity-tested against the broadcast path)."""
-    from ..ops.relational import _shuffle_left_join
-
-    up, cp = rules.UNKNOWN_PREFIX, rules.CANONICAL_PREFIX
-
-    for col in columns:
-        def add_norm(t: pa.Table, _col=col) -> pa.Table:
-            ids = t[_col]
-            if isinstance(ids, pa.ChunkedArray):
-                ids = ids.combine_chunks()
-            is_surface = pc.starts_with(ids, up)
-            norm = pc.if_else(
-                is_surface,
-                pc.utf8_slice_codeunits(ids, len(up), np.iinfo(np.int32).max),
-                pa.scalar(_NO_NORM),
-            )
-            return t.append_column("__norm", norm)
-
-        fact = ds.map_batches(add_norm, batch_format="pyarrow", batch_size=None)
-        fact_cols = [c for c in fact.columns() if c != "__norm"]
-        joined = _shuffle_left_join(
-            fact, "__norm", fact_cols, cmap_ds, "norm", ["canonical"],
-        )
-
-        def rewrite(t: pa.Table, _col=col) -> pa.Table:
-            orig = t[_col]
-            if isinstance(orig, pa.ChunkedArray):
-                orig = orig.combine_chunks()
-            orig = pc.cast(orig, pa.string())
-            canonical = t["canonical"]
-            if isinstance(canonical, pa.ChunkedArray):
-                canonical = canonical.combine_chunks()
-            # is_surface from the carried column itself — the sentinel norm
-            # may be mangled by the exchange's fixed-width key encoding
-            is_surface = pc.starts_with(orig, up)
-            own_norm = pc.utf8_slice_codeunits(orig, len(up), np.iinfo(np.int32).max)
-            target = pc.binary_join_element_wise(
-                pa.array([cp] * t.num_rows, pa.string()),
-                pc.cast(pc.coalesce(canonical, own_norm), pa.string()),
-                "",
-            )
-            new_col = pc.if_else(is_surface, target, orig)
-            t = t.set_column(t.column_names.index(_col), _col, new_col)
-            return t.drop_columns(["__norm", "canonical"])
-
-        ds = joined.map_batches(rewrite, batch_format="pyarrow", batch_size=None)
-    return ds
-

@@ -15,8 +15,7 @@ Scale design:
 - ``edges`` needs NO shuffle at all: a turn's triples live in one nested row
   of the extraction output, so the per-turn weight is computed in-batch
   during the explode, and (subj, pred, obj, conv_id, turn_idx) is unique by
-  construction. Canonical-map application happens in the same pass (the map
-  is broadcast once via ray.put).
+  construction. Canonical-map application happens in the same pass.
 - ``edges_agg`` (global triple weights) and ``nodes`` DO shuffle: a
   per-block partial keyed sum, split by ``exchange.part_ids`` of the key,
   then a per-part final sum, so the exchange moves one row per distinct key
@@ -30,15 +29,22 @@ Scale design:
   finishes the sum. No Ray Data execution and no sort: per-task memory is
   O(block) on the map side and O(part) on the reduce side, and the driver
   holds only refs.
+- The map's size picks only how a map task gets its id rewrite, never
+  which program runs. Within ``CANON_BROADCAST_LIMIT`` entries the map is
+  broadcast once (``ray.put``). Past it no worker may hold the map, so a
+  lookup round runs in front of the graph, in the forward / backward shape
+  of ``assemble``'s attach: one task per block sends the block's distinct
+  placeholder norms forward by ``part_ids(norm)``; lookup task p probes
+  part p of the map (cut on the driver by the same split) and sends each
+  block back the entries it asked for. Per-task memory is O(map / P +
+  block norms).
 - Part p of the edges_agg / nodes that graph writes holds the keys with
-  ``part_ids(key, P) == p``. An append runs the same graph over the
-  delta's blocks with the base's P (``base``): reduce task p also sums
-  base part p, so the new version keeps the layout and P.
-- Past ``CANON_BROADCAST_LIMIT`` canonical-map entries no worker may hold
-  the map, and the three tables come from ``materialize_edges`` (shuffle
-  apply of the map), ``materialize_edges_agg`` and ``materialize_nodes``,
-  which run one keyed-sum kernel (``_keyed_sum``): a per-batch partial
-  aggregate, then one ``exchange.map_partitions``.
+  ``part_ids(key, P) == p``, at every map size. An append runs the same
+  graph over the delta's blocks with the base's P (``base``): reduce task
+  p also sums base part p, so the new version keeps the layout and P.
+- ``_keyed_sum`` (a per-batch partial aggregate, then one
+  ``exchange.map_partitions``) is the kernel of the ``kg_incremental_update``
+  query's ``merge_edges_agg``.
 """
 
 from __future__ import annotations
@@ -55,15 +61,17 @@ import ray
 import ray.data as rd
 from ray.data import Dataset
 
-from ..exchange import PARTS, map_partitions, part_ids, split_by_part
+from .. import rules
+from ..exchange import PARTS, map_partitions, part_ids, split_by_part, split_rows
 from ..state.manifest import part_file
 from ..util import cached_get
-from .canon import (
-    CANON_BROADCAST_LIMIT,
-    _apply_cmap_shuffle,
-    canonical_map_dataset,
-    canonicalize_id,
-)
+from .canon import _canonical_map_table, canonicalize_id
+
+# an open-ended 100-TB entity vocabulary can outgrow a per-worker map
+# replica; past this entry count the graph's map tasks get only the entries
+# their block names, from a per-part lookup round (nothing map-sized on any
+# worker)
+CANON_BROADCAST_LIMIT = 5_000_000
 
 # keyed-sum schemas: the key columns, then the summed column
 _EDGE_SUM = pa.schema(
@@ -87,41 +95,29 @@ _NODE_SUM = pa.schema(
         ("freq", pa.int64()),
     ]
 )
+_NORMS = pa.schema([("norm", pa.string())])
+
+
+def _combined(arr):
+    return arr.combine_chunks() if isinstance(arr, pa.ChunkedArray) else arr
 
 
 def _canon_array(arr: pa.Array, canon) -> pa.Array:
     """Vectorized canonical-map application: dictionary-encode the column
     (entity ids repeat massively), rewrite only the small dictionary in
-    Python, rebuild. O(distinct ids) python work per batch, not O(rows).
-    ``canon=None`` is the identity (over-budget regime: raw ids pass
-    through and a distributed shuffle apply rewrites them later)."""
-    if canon is None:
-        if isinstance(arr, pa.ChunkedArray):
-            arr = arr.combine_chunks()
-        return arr
-    if isinstance(arr, pa.ChunkedArray):
-        arr = arr.combine_chunks()
-    d = arr.dictionary_encode()
+    Python, rebuild. O(distinct ids) python work per batch, not O(rows)."""
+    d = _combined(arr).dictionary_encode()
     new_dict = pa.array([canon(v) for v in d.dictionary.to_pylist()], pa.string())
     return pa.DictionaryArray.from_arrays(d.indices, new_dict).cast(pa.string())
 
 
-def _canon_of(cmap_ref):
-    """The id rewrite of a broadcast canonical map; ``None`` (the identity)
-    for ``cmap_ref=None``."""
-    return None if cmap_ref is None else partial(canonicalize_id, cmap=cached_get(cmap_ref))
-
-
 def turn_edges(t: pa.Table, canon) -> pa.Table:
     """Nested extraction rows -> weighted per-turn edge rows, ids rewritten
-    by ``canon`` (None keeps raw ids: the over-budget regime canonicalizes
-    in a later distributed shuffle apply). Fully vectorized: Arrow
-    list-flatten + parent-index repeat, dictionary-encoded canonical
-    rewrite, and an in-table group_by for the per-turn weights (a turn
-    never spans batches, so the weight is exact)."""
-    lst = t.column("triples")
-    if isinstance(lst, pa.ChunkedArray):
-        lst = lst.combine_chunks()
+    by ``canon``. Fully vectorized: Arrow list-flatten + parent-index
+    repeat, dictionary-encoded canonical rewrite, and an in-table group_by
+    for the per-turn weights (a turn never spans batches, so the weight is
+    exact)."""
+    lst = _combined(t.column("triples"))
     flat = lst.flatten()
     lengths = lst.value_lengths().to_numpy(zero_copy_only=False).astype("int64")
     parents = pa.array(np.repeat(np.arange(len(lengths)), lengths))
@@ -149,44 +145,6 @@ def turn_edges(t: pa.Table, canon) -> pa.Table:
     )
 
 
-def _edge_builder(cmap_ref):
-    """Stateless task fn: ``turn_edges`` under a broadcast canonical map."""
-
-    def build_edges(t: pa.Table) -> pa.Table:
-        return turn_edges(t, _canon_of(cmap_ref))
-
-    return build_edges
-
-
-def materialize_edges(
-    extracted: Dataset, cmap: dict[str, str], broadcast_limit: int | None = None
-) -> Dataset:
-    """Extraction output -> per-turn weighted edges. Under the canonical-map
-    broadcast budget: shuffle-free (see module docstring). Over it (round
-    5): identity explode -> distributed shuffle apply of the map on
-    subj/obj -> one coarse-hash re-aggregate restoring per-turn key
-    uniqueness (canonicalization can merge two raw triples of one turn).
-    No worker ever holds the whole map; parity-tested vs broadcast."""
-    if broadcast_limit is None:
-        broadcast_limit = CANON_BROADCAST_LIMIT
-    if len(cmap) <= broadcast_limit:
-        cmap_ref = ray.put(cmap)
-        return extracted.map_batches(
-            _edge_builder(cmap_ref),
-            batch_format="pyarrow", batch_size=None,
-            zero_copy_batch=True,
-        )
-
-    raw = extracted.map_batches(
-        _edge_builder(None),
-        batch_format="pyarrow", batch_size=None,
-        zero_copy_batch=True,
-    )
-    return reaggregate_turn_edges(
-        _apply_cmap_shuffle(raw, canonical_map_dataset(cmap), ["subj", "obj"])
-    )
-
-
 def sum_by_key(t: pa.Table, schema: pa.Schema) -> pa.Table:
     """In-table keyed sum: the last column of ``schema`` summed per distinct
     key (the other columns); other columns of ``t`` are dropped."""
@@ -196,12 +154,12 @@ def sum_by_key(t: pa.Table, schema: pa.Schema) -> pa.Table:
 
 
 def _keyed_sum(inputs: list[Dataset], schema: pa.Schema) -> Dataset:
-    """The one aggregate kernel of the KG tables: sum the last column of
-    ``schema`` per distinct key (the other columns) over the union of
+    """The keyed-sum exchange of ``merge_edges_agg``: sum the last column
+    of ``schema`` per distinct key (the other columns) over the union of
     ``inputs``. Each block first combines its own rows, so the ``__part``
     exchange moves one row per distinct key per block (the partial/combiner
     pattern the groupby guide prescribes for 100 TB inputs); the final sum
-    is a hash aggregate inside each part (SHUFFLE #3 of SURVEY.md §3.4)."""
+    is a hash aggregate inside each part."""
     keys = schema.names[:-1]
 
     def keyed_sum(t: pa.Table) -> pa.Table:
@@ -229,12 +187,8 @@ def materialize_edges_agg(edges: Dataset) -> Dataset:
 
 def mention_counts(t: pa.Table, canon) -> pa.Table:
     """Nested mention rows -> partial node counts (entity_id, surface,
-    type, freq), ids rewritten by ``canon`` (None keeps raw ids),
-    vectorized."""
-    lst = t.column("mentions")
-    if isinstance(lst, pa.ChunkedArray):
-        lst = lst.combine_chunks()
-    flat = lst.flatten()
+    type, freq), ids rewritten by ``canon``, vectorized."""
+    flat = _combined(t.column("mentions")).flatten()
     exploded = pa.table(
         {
             "entity_id": _canon_array(flat.field("entity_id"), canon),
@@ -255,15 +209,6 @@ def mention_counts(t: pa.Table, canon) -> pa.Table:
     )
 
 
-def _node_partial(cmap_ref):
-    """Stateless task fn: ``mention_counts`` under a broadcast canonical map."""
-
-    def node_partial(t: pa.Table) -> pa.Table:
-        return mention_counts(t, _canon_of(cmap_ref))
-
-    return node_partial
-
-
 def node_rows(t: pa.Table) -> pa.Table:
     """Summed (entity_id, surface, type, freq) counts -> node rows: the bare
     ``canonical`` norm is the entity id without its ``kind:`` prefix."""
@@ -280,53 +225,82 @@ def node_rows(t: pa.Table) -> pa.Table:
     )
 
 
-def _node_rows(counts: Dataset) -> Dataset:
-    return counts.map_batches(
-        node_rows, batch_format="pyarrow", batch_size=None, zero_copy_batch=True
-    )
+def _block_norms(block: pa.Table, parts: int):
+    """Forward side of the lookup round for one extracted block: the
+    distinct norms of its placeholder ids (``subj`` / ``obj`` of its
+    triples, ``entity_id`` of its mentions), split into ``parts`` slices by
+    ``part_ids`` of the norm."""
+    norms = _NORMS.empty_table()
+    if block.num_rows:  # a 0-row block may carry no columns at all
+        triples = _combined(block.column("triples")).flatten()
+        mentions = _combined(block.column("mentions")).flatten()
+        ids = pc.unique(pa.concat_arrays([
+            pc.cast(a, pa.string())
+            for a in (triples.field("subj"), triples.field("obj"), mentions.field("entity_id"))
+        ]))
+        ids = ids.filter(pc.starts_with(ids, rules.UNKNOWN_PREFIX))
+        norms = pa.table({"norm": pc.utf8_slice_codeunits(ids, len(rules.UNKNOWN_PREFIX))})
+    slices = split_by_part(norms, ["norm"], parts)
+    return slices if parts > 1 else slices[0]
 
 
-def node_counts(
-    extracted: Dataset, cmap: dict[str, str], broadcast_limit: int | None = None
-) -> Dataset:
-    """Extraction output -> per-batch partial node counts (entity_id,
-    surface, type, freq) under ``cmap``. Over the canonical-map broadcast
-    budget the counts are taken on raw ids and the map is applied by a
-    distributed shuffle (rows the rewrite made equal re-merge in the keyed
-    sum that consumes the counts)."""
-    if broadcast_limit is None:
-        broadcast_limit = CANON_BROADCAST_LIMIT
-    if len(cmap) > broadcast_limit:
-        return _apply_cmap_shuffle(
-            extracted.map_batches(
-                _node_partial(None), batch_format="pyarrow", batch_size=None, zero_copy_batch=True
-            ),
-            canonical_map_dataset(cmap),
-            ["entity_id"],
-        )
-    return extracted.map_batches(
-        _node_partial(ray.put(cmap)),
-        batch_format="pyarrow", batch_size=None, zero_copy_batch=True,
-    )
+def _lookup_part(n_blocks: int, cmap_part: pa.Table, *asked: pa.Table):
+    """Lookup task of one part: for each of the ``n_blocks`` blocks, the
+    (norm, canonical) rows of ``cmap_part`` (this part of the canonical
+    map) whose norm that block's slice in ``asked`` names."""
+    norms = pa.concat_tables(asked)["norm"]
+    block = np.repeat(np.arange(n_blocks), [t.num_rows for t in asked])
+    idx = _combined(pc.index_in(norms, value_set=_combined(cmap_part["norm"])))
+    hit = pc.is_valid(idx)
+    found = pa.table({
+        "norm": norms.filter(hit),
+        "canonical": cmap_part["canonical"].take(idx.filter(hit)),
+    })
+    slices = split_rows(found, block[hit.to_numpy(zero_copy_only=False)], n_blocks)
+    return slices if n_blocks > 1 else slices[0]
 
 
-def materialize_nodes(
-    extracted: Dataset, cmap: dict[str, str], broadcast_limit: int | None = None
-) -> Dataset:
-    """Extraction output -> node rows with per-surface frequencies: the
-    keyed sum of the per-batch mention counts (``node_counts``)."""
-    return _node_rows(_keyed_sum([node_counts(extracted, cmap, broadcast_limit)], _NODE_SUM))
+def _lookup_round(blocks: list, cmap: dict[str, str], parts: int) -> list[list]:
+    """The canonical-map entries each block's ids name, with no worker
+    holding the map: item [b][p] is the ref of the rows of map part p that
+    block b asked for. The driver cuts the map with the split the blocks'
+    norms take, so lookup task p sees every norm of part p."""
+    n_blocks = len(blocks)
+    if not n_blocks:
+        return []
+    norms_task = ray.remote(num_returns=parts)(_block_norms) if parts > 1 \
+        else ray.remote(_block_norms)
+    lookup_task = ray.remote(num_returns=n_blocks)(_lookup_part) if n_blocks > 1 \
+        else ray.remote(_lookup_part)
+    asked = [norms_task.remote(b, parts) for b in blocks]
+    if parts == 1:
+        asked = [[a] for a in asked]
+    cmap_parts = split_by_part(_canonical_map_table(cmap), ["norm"], parts)
+    found = [
+        lookup_task.remote(n_blocks, ray.put(cmap_parts[p]), *[a[p] for a in asked])
+        for p in range(parts)
+    ]
+    if n_blocks == 1:
+        found = [[f] for f in found]
+    return [[found[p][b] for p in range(parts)] for b in range(n_blocks)]
 
 
-def _graph_map(block: pa.Table, cmap_ref: list, parts: int):
+def _graph_map(block: pa.Table, parts: int, cmap_ref: list, *found: pa.Table):
     """Map round of ``materialize_graph`` for one extracted block: its
     per-turn edges, then ``parts`` slices of its triple sums and ``parts``
-    slices of its mention counts. ``cmap_ref`` holds the canonical map's
-    ref (inside a list, so Ray passes the ref itself and the worker's map
-    memo keys on it)."""
+    slices of its mention counts. The ids are rewritten through the
+    broadcast canonical map whose ref ``cmap_ref`` holds (inside a list, so
+    Ray passes the ref itself and the worker's map memo keys on it) or,
+    where ``cmap_ref`` is empty, through the entries the lookup round found
+    for this block (``found``, one table per part)."""
     if block.num_rows == 0:  # may carry no columns at all
         return [_EDGE_SUM.empty_table()] * (1 + 2 * parts)
-    canon = _canon_of(cmap_ref[0])
+    if cmap_ref:
+        cmap = cached_get(cmap_ref[0])
+    else:
+        hits = pa.concat_tables(found)
+        cmap = dict(zip(hits["norm"].to_pylist(), hits["canonical"].to_pylist()))
+    canon = partial(canonicalize_id, cmap=cmap)
     edges = turn_edges(block, canon)
     triples = split_by_part(sum_by_key(edges, _TRIPLE_SUM), _TRIPLE_SUM.names[:-1], parts)
     counts = split_by_part(mention_counts(block, canon), _NODE_SUM.names[:-1], parts)
@@ -346,53 +320,44 @@ def _graph_reduce(nodes: bool, base_part: str | None, *slices: pa.Table) -> pa.T
     return node_rows(summed) if nodes else summed
 
 
-def graph_parts(extracted: Dataset, cmap: dict[str, str]) -> int | None:
+def graph_parts(extracted: Dataset) -> int:
     """The part count P of the edges_agg and nodes that ``materialize_graph``
-    makes of the materialized ``extracted`` under ``cmap``, where part p
-    holds the keys with ``part_ids(key, P) == p``; None past the broadcast
-    budget, where an exchange lays the parts out."""
-    if len(cmap) > CANON_BROADCAST_LIMIT:
-        return None
+    makes of the materialized ``extracted``, where part p holds the keys
+    with ``part_ids(key, P) == p``."""
     return max(1, min(PARTS, extracted.num_blocks()))
 
 
 def materialize_graph(
     extracted: Dataset,
     cmap: dict[str, str],
-    broadcast_limit: int | None = None,
     base: tuple[pathlib.Path, int] | None = None,
 ) -> tuple[Dataset, Dataset, Dataset]:
     """Extraction output -> (edges, edges_agg, nodes) under ``cmap``, each
-    a materialized dataset. Under the canonical-map broadcast budget: one
-    two-round task graph over the pinned blocks (module docstring) with
-    ``min(PARTS, blocks)`` parts, so edges has one block per extracted
-    block and edges_agg and nodes one per part. Over it:
-    ``materialize_edges`` (shuffle apply of the map),
-    ``materialize_edges_agg`` of its result and ``materialize_nodes``.
+    a materialized dataset: one two-round task graph over the pinned
+    blocks (module docstring) with ``min(PARTS, blocks)`` parts, so edges
+    has one block per extracted block and edges_agg and nodes one per part.
+    Past ``CANON_BROADCAST_LIMIT`` map entries a lookup round
+    (``_lookup_round``) hands each map task the entries its block names in
+    place of the broadcast map.
 
-    ``base`` = (out dir, P) folds ``extracted`` (an append's delta, under a
-    ``cmap`` within the budget) into the edges_agg and nodes checkpoints
-    there, laid out in P parts (``graph_parts``): the graph runs with P
-    parts, and reduce task p also sums the base's part p, so edges_agg and
-    nodes are the new versions of those tables; edges is the delta's own."""
-    if broadcast_limit is None:
-        broadcast_limit = CANON_BROADCAST_LIMIT
-    if base is None and len(cmap) > broadcast_limit:
-        edges = materialize_edges(extracted, cmap, broadcast_limit).materialize()
-        return (
-            edges,
-            materialize_edges_agg(edges).materialize(),
-            materialize_nodes(extracted, cmap, broadcast_limit).materialize(),
-        )
+    ``base`` = (out dir, P) folds ``extracted`` (an append's delta) into
+    the edges_agg and nodes checkpoints there, laid out in P parts
+    (``graph_parts``): the graph runs with P parts, and reduce task p also
+    sums the base's part p, so edges_agg and nodes are the new versions of
+    those tables; edges is the delta's own."""
     blocks = list(extracted.to_arrow_refs())
     parts = base[1] if base else max(1, min(PARTS, len(blocks)))
 
     def base_part(table: str, p: int) -> str | None:
         return None if base is None else str(base[0] / table / part_file(p))
 
-    cmap_ref = [ray.put(cmap)]
+    if len(cmap) <= CANON_BROADCAST_LIMIT:
+        cmap_ref = [ray.put(cmap)]
+        rewrites = [[cmap_ref]] * len(blocks)
+    else:
+        rewrites = [[[], *found] for found in _lookup_round(blocks, cmap, parts)]
     map_task = ray.remote(num_returns=1 + 2 * parts)(_graph_map)
-    mapped = [map_task.remote(b, cmap_ref, parts) for b in blocks]
+    mapped = [map_task.remote(b, parts, *r) for b, r in zip(blocks, rewrites)]
     reduce_task = ray.remote(_graph_reduce)
     agg = [
         reduce_task.remote(False, base_part("edges_agg", p), *[m[1 + p] for m in mapped])
@@ -417,12 +382,6 @@ def merge_edges_agg(base_agg: Dataset, delta_edges: Dataset) -> Dataset:
     oracle gates. The base is already one row per triple, so its blocks
     only re-partition into the same exchange as ``materialize_edges_agg``."""
     return _keyed_sum([base_agg, delta_edges], _TRIPLE_SUM)
-
-
-def reaggregate_turn_edges(edges: Dataset) -> Dataset:
-    """Restore per-(subj, pred, obj, conv_id, turn_idx) key uniqueness after a
-    canonical rewrite merged two of one turn's triples."""
-    return _keyed_sum([edges], _EDGE_SUM)
 
 
 def incremental_update_by_conv(

@@ -137,18 +137,38 @@ def test_dim_join_helper_both_regimes():
 
 
 # ---------------------------------------------------------------------------
-# size-gated canonical-map apply (broadcast vs distributed shuffle parity)
+# size-gated canonical-map apply: materialize_graph's broadcast map vs its
+# per-part lookup round (CANON_BROADCAST_LIMIT forced to 0)
+
+_TRIPLES = pa.list_(pa.struct([("subj", pa.string()), ("pred", pa.string()), ("obj", pa.string())]))
+_MENTIONS = pa.list_(
+    pa.struct([("entity_id", pa.string()), ("surface", pa.string()), ("entity_type", pa.string())])
+)
+
+
+def _extracted(turns, rows_triples, rows_mentions):
+    """A hand-built extraction output: one row per (conv_id, turn_idx) of
+    ``turns``, with its triples and mentions."""
+    return pa.table(
+        {
+            "conv_id": pa.array([c for c, _ in turns]),
+            "turn_idx": pa.array([t for _, t in turns], pa.int32()),
+            "triples": pa.array(
+                [[{"subj": s, "pred": p, "obj": o} for s, p, o in r] for r in rows_triples],
+                _TRIPLES,
+            ),
+            "mentions": pa.array(
+                [
+                    [{"entity_id": e, "surface": s, "entity_type": ty} for e, s, ty in r]
+                    for r in rows_mentions
+                ],
+                _MENTIONS,
+            ),
+        }
+    )
 
 
 def _fake_extracted():
-    triples_type = pa.list_(
-        pa.struct([("subj", pa.string()), ("pred", pa.string()), ("obj", pa.string())])
-    )
-    mentions_type = pa.list_(
-        pa.struct(
-            [("entity_id", pa.string()), ("surface", pa.string()), ("entity_type", pa.string())]
-        )
-    )
     rows_triples = [
         [("surface:acme corp", "mentions", "surface:bob"),
          ("surface:acme", "mentions", "surface:bob"),       # merges with above post-canon
@@ -161,56 +181,50 @@ def _fake_extracted():
         [("surface:bob", "Bob", "person"), ("ent:fixed", "Fixed", "tool")],
         [],
     ]
-    return pa.table(
-        {
-            "conv_id": pa.array(["c1", "c1", "c2"]),
-            "turn_idx": pa.array([0, 1, 0], pa.int32()),
-            "triples": pa.array(
-                [[{"subj": s, "pred": p, "obj": o} for s, p, o in r] for r in rows_triples],
-                triples_type,
-            ),
-            "mentions": pa.array(
-                [
-                    [{"entity_id": e, "surface": s, "entity_type": ty} for e, s, ty in r]
-                    for r in rows_mentions
-                ],
-                mentions_type,
-            ),
-        }
-    )
+    return _extracted([("c1", 0), ("c1", 1), ("c2", 0)], rows_triples, rows_mentions)
 
 
-def test_materialize_cmap_gate_parity():
-    from chunksilo_ray.stages.materialize import materialize_edges, materialize_nodes
+def _both_gates(monkeypatch, table, cmap):
+    """The (edges, edges_agg, nodes) frames of ``materialize_graph`` over
+    ``table`` in two blocks under the broadcast map, asserted equal to those
+    under the lookup round."""
+    from chunksilo_ray.stages import materialize
 
+    ext = rd.from_arrow(table).repartition(2).materialize()
+    broadcast = [_df(ds) for ds in materialize.materialize_graph(ext, cmap)]
+    monkeypatch.setattr(materialize, "CANON_BROADCAST_LIMIT", 0)
+    lookup = [_df(ds) for ds in materialize.materialize_graph(ext, cmap)]
+    for b, s in zip(broadcast, lookup):
+        pd.testing.assert_frame_equal(b, s)
+    return broadcast
+
+
+def test_materialize_cmap_gate_parity(monkeypatch):
     cmap = {"acme corp": "acme", "acme": "acme"}
-    ext = rd.from_arrow(_fake_extracted()).repartition(2)
-    eb = _df(materialize_edges(ext, cmap))
-    es = _df(materialize_edges(ext, cmap, broadcast_limit=0))
-    pd.testing.assert_frame_equal(eb, es)
+    edges, agg, nodes = _both_gates(monkeypatch, _fake_extracted(), cmap)
     # the two raw acme triples of (c1, turn 0) merged into weight 2
-    merged = eb[(eb["subj"] == "ent:acme") & (eb["obj"] == "ent:bob")]
+    merged = edges[(edges["subj"] == "ent:acme") & (edges["obj"] == "ent:bob")]
     assert list(merged["weight"]) == [2]
-    nb = _df(materialize_nodes(ext, cmap))
-    ns = _df(materialize_nodes(ext, cmap, broadcast_limit=0))
-    pd.testing.assert_frame_equal(nb, ns)
-    assert set(nb["canonical"]) >= {"acme", "bob", "fixed"}
+    assert list(merged["turn_idx"]) == [0]
+    assert list(agg[agg["subj"] == "ent:acme"]["weight"]) == [2]
+    assert set(nodes["canonical"]) >= {"acme", "bob", "fixed"}
 
 
-def test_apply_canonical_map_gate_parity():
-    # the distributed shuffle apply rewrites every id exactly as the
-    # broadcast path's per-id rewrite (canonicalize_id) does
-    from chunksilo_ray.stages.canon import (
-        _apply_cmap_shuffle,
-        canonical_map_dataset,
-        canonicalize_id,
-    )
+def test_apply_canonical_map_gate_parity(monkeypatch):
+    # the lookup round rewrites every id exactly as the broadcast path's
+    # per-id rewrite (canonicalize_id) does
+    from chunksilo_ray.stages.canon import canonicalize_id
 
     cmap = {"a b": "ab", "x": "ab"}
     ids = ["surface:a b", "surface:x", "surface:zz", "ent:k", "other"]
-    t = pa.table({"id": pa.array(ids), "v": pa.array([1, 2, 3, 4, 5])})
-    ds = rd.from_arrow(t).repartition(2)
-    s = _df(_apply_cmap_shuffle(ds, canonical_map_dataset(cmap), ["id"])).sort_values("v")
-    assert list(s["v"]) == [1, 2, 3, 4, 5]
-    assert list(s["id"]) == [canonicalize_id(i, cmap) for i in ids]
-    assert set(s["id"]) == {"ent:ab", "ent:zz", "ent:k", "other"}
+    table = _extracted(
+        [("c", i) for i in range(len(ids))],
+        [[(i, "is", i)] for i in ids],
+        [[(i, i, "thing")] for i in ids],
+    )
+    edges, _, nodes = _both_gates(monkeypatch, table, cmap)
+    want = [canonicalize_id(i, cmap) for i in ids]
+    edges = edges.sort_values("turn_idx")
+    assert list(edges["subj"]) == list(edges["obj"]) == want
+    assert dict(zip(nodes["surface"], nodes["entity_id"])) == dict(zip(ids, want))
+    assert set(want) == {"ent:ab", "ent:zz", "ent:k", "other"}

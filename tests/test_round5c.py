@@ -649,25 +649,18 @@ def test_fold_onto_a_dead_letter_base_equals_the_rebuild(split_corpus, tmp_path)
         assert _rows(out / name) == _rows(full / name), name
 
 
-@pytest.mark.parametrize("base", ["no_parts_record", "over_budget"])
-def test_append_regraphs_where_it_cannot_fold(split_corpus, rebuild, tmp_path, monkeypatch, base):
+def test_append_regraphs_where_it_cannot_fold(split_corpus, rebuild, tmp_path):
     """A base whose edges_agg manifest records no part count (as older code
-    wrote it), or a canonical map over the broadcast budget, leaves no
-    hash-aligned parts to fold into: the append re-runs the graph over
-    every extracted table and equals the rebuild."""
+    wrote it) leaves no hash-aligned parts to fold into: the append re-runs
+    the graph over every extracted table and equals the rebuild."""
     from chunksilo_ray.pipelines.kg_append import append_kg
-    from chunksilo_ray.stages import materialize
 
     out = tmp_path / "kg"
     _build_day1(split_corpus, out)
-    if base == "no_parts_record":
-        path = out / "edges_agg" / "_MANIFEST.json"
-        m = json.loads(path.read_text())
-        del m["metrics"]["parts"]
-        path.write_text(json.dumps(m))
-    else:
-        assert rebuild[1]["metrics"]["canonical_merges"] > 0
-        monkeypatch.setattr(materialize, "CANON_BROADCAST_LIMIT", 0)
+    path = out / "edges_agg" / "_MANIFEST.json"
+    m = json.loads(path.read_text())
+    del m["metrics"]["parts"]
+    path.write_text(json.dumps(m))
     res = append_kg(str(out), str(split_corpus / "day2.parquet"))
     assert res["metrics"]["path"] == "regraph"
     _assert_equals_rebuild(res, rebuild[1])
@@ -675,10 +668,29 @@ def test_append_regraphs_where_it_cannot_fold(split_corpus, rebuild, tmp_path, m
     assert info["appends"][0]["path"] == "regraph"
     for name in _AGG_KEYS:
         m = json.loads((out / name / "_MANIFEST.json").read_text())
-        if base == "over_budget":  # exchange-written: no part count to fold into
-            assert "parts" not in m["metrics"]
-        else:
-            _assert_hash_aligned(out / name, m["metrics"]["parts"])
+        _assert_hash_aligned(out / name, m["metrics"]["parts"])
+
+
+def test_over_budget_append_folds(split_corpus, rebuild, tmp_path, monkeypatch):
+    """Past the canonical-map broadcast budget the append still folds: the
+    graph's lookup round hands the delta's map tasks the map entries they
+    name, the manifests keep the base's part count, every part file stays
+    hash-aligned, and the result equals the rebuild."""
+    from chunksilo_ray.pipelines.kg_append import append_kg
+    from chunksilo_ray.stages import materialize
+
+    out = tmp_path / "kg"
+    _build_day1(split_corpus, out)
+    parts = json.loads((out / "nodes" / "_MANIFEST.json").read_text())["metrics"]["parts"]
+    assert rebuild[1]["metrics"]["canonical_merges"] > 0  # the map is past a budget of 0
+    monkeypatch.setattr(materialize, "CANON_BROADCAST_LIMIT", 0)
+    res = append_kg(str(out), str(split_corpus / "day2.parquet"))
+    assert res["metrics"]["path"] == "fold"
+    _assert_equals_rebuild(res, rebuild[1])
+    info = json.loads((out / "state" / "build_info.json").read_text())
+    assert info["appends"][0]["path"] == "fold"
+    for name in _AGG_KEYS:
+        _assert_hash_aligned(out / name, parts)
 
 
 @pytest.mark.parametrize("budget", ["small", "large"])
